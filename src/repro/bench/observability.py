@@ -5,7 +5,7 @@ Two questions:
 1. **Zero-cost-when-dark** — with every ``observability_options`` switch at
    its default, how much slower is the tier-1 statement hot path than a
    build with no observability dispatch at all? The baseline replicates the
-   pre-PR ``Session.execute`` body (append to the statement log, parse,
+   pre-PR ``Session.execute`` body (count and log the statement, parse,
    execute) so the measured delta is exactly the dark-mode dispatch: one
    options-dict read plus the thread-local tracer probes the inner hooks
    perform. Gated at ≤ 5% (the PR-7 seam-overhead pattern).
@@ -42,6 +42,7 @@ def _build_db(rows: int, tracing: bool = False) -> tuple[Database, Any]:
 def _plain_execute(session: Any, sql: str) -> Any:
     """The pre-observability ``Session.execute`` body: the no-dispatch
     baseline the dark-mode gate compares against."""
+    session.statements += 1
     session.statement_log.append(sql)
     return session.execute_statement(parse(sql))
 

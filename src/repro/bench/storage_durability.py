@@ -96,6 +96,7 @@ def experiment_storage_durability(
         warm_output = None
         warm_stats: dict[str, Any] = {}
         engine_stats: dict[str, Any] = {}
+        snapshot_loaded = False
         zero_rebuild = True
         for _ in range(max(warm_trials, 1)):
             warm_start = time.perf_counter()
@@ -107,6 +108,7 @@ def experiment_storage_durability(
                 warm_stats["persisted_hits"] == 1 and warm_stats["misses"] == 0
             )
             engine_stats = dict(warm_db.engine.stats)
+            snapshot_loaded = warm_db.engine.snapshot_loaded
             warm_db.close()
         warm_seconds = min(warm_trial_seconds)
 
@@ -129,7 +131,7 @@ def experiment_storage_durability(
             "zero_rebuild": zero_rebuild,
             "equivalence_ok": warm_output == reference == cold_output,
             "warm_cache_stats": warm_stats,
-            "snapshot_loaded": engine_stats["snapshot_loaded"],
+            "snapshot_loaded": snapshot_loaded,
             "wal_replayed": engine_stats["wal_replayed"],
         }
     finally:

@@ -167,11 +167,15 @@ class MinidbBinding(DatabaseBinding):
             # share the engine's I/O seam so fault injection (and the
             # fs-seam rule) covers sidecar persistence too
             store = (
-                CatalogStore(catalog_dir, filesystem=db.engine.filesystem)
+                CatalogStore(
+                    catalog_dir,
+                    filesystem=db.engine.filesystem,
+                    registry=db.metrics,
+                )
                 if catalog_dir
                 else None
             )
-            return CatalogCache(store=store)
+            return CatalogCache(store=store, registry=db.metrics)
 
         # guarded lazy init: concurrent first callers must share one cache
         cache = db.ensure_retrieval_cache(make_cache)

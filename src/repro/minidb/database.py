@@ -20,9 +20,10 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from collections import deque
 from typing import Any, Callable
 
-from ..obs import CounterMapView, MetricsRegistry, StatementTracer
+from ..obs import CounterMapView, StatementTracer
 from . import ast_nodes as ast
 from .analysis import StatementAnalysis, analyze
 from .catalog import Catalog, IndexSchema, TableSchema
@@ -43,6 +44,9 @@ from .storage import HashIndex, HeapTable
 from .transactions import StatementGuard, TransactionManager
 
 _session_ids = itertools.count(1)
+
+#: how many recent SQL strings a session keeps in ``statement_log``
+RECENT_STATEMENTS = 64
 
 
 class Session:
@@ -68,11 +72,15 @@ class Session:
         # (redo flush) and explicit-transaction lifetimes; the in-memory
         # engine skips redo logging entirely
         self.tx = TransactionManager(hooks=db if db.engine.durable else None)
-        #: statements executed through this session (benchmark observability)
-        self.statement_log: list[str] = []
+        #: statements executed through this session, and the most recent
+        #: SQL strings (bounded: service sessions live long)
+        self.statements = 0
+        self.statement_log: deque[str] = deque(maxlen=RECENT_STATEMENTS)
         #: stable human-readable lock-owner label for diagnostics
         self.label = f"{user}#{next(_session_ids)}"
         db.live_sessions.add(self)
+        db._sessions_live.inc()
+        weakref.finalize(self, db._sessions_live.dec)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"<Session {self.label}>"
@@ -105,6 +113,7 @@ class Session:
         opts = self.db.observability_options
         if opts["tracing"] or opts["slow_statement_s"] is not None:
             return self._execute_traced(sql, _skip_privileges)
+        self.statements += 1
         self.statement_log.append(sql)
         stmt = parse(sql)
         return self.execute_statement(stmt, _skip_privileges=_skip_privileges)
@@ -117,6 +126,7 @@ class Session:
         checkpoint spans, executor scan/join events) find the trace through
         the tracer's thread-local slot.
         """
+        self.statements += 1
         self.statement_log.append(sql)
         db = self.db
         trace = db.tracer.start(sql, user=self.user, session=self.label)
@@ -347,20 +357,16 @@ class Database:
         #: taken mid-statement would capture half-applied mutations
         #: guarded by self._mutex
         self._inflight = 0
-        #: unified metrics registry (PR 9): every counter the engine keeps
-        #: is either a registry instrument or re-exported through an
-        #: attached collector source (engine stats, lock stats, retrieval
-        #: cache stats, service metrics)
-        self.metrics = MetricsRegistry()
+        #: the one metrics registry: the storage engine's, which the lock
+        #: manager, session manager, retrieval cache and service metrics
+        #: serving this database publish their instruments to as well
+        self.metrics = self.engine.metrics
         #: access-path and join-strategy counters maintained by the
-        #: executor, backed by registry counters (atomic increments — the
-        #: old plain-dict bumps could lose updates across executor
-        #: threads); ``planner_stats`` stays the compatible read view
-        self._planner_counters = {
-            name: self.metrics.counter(
-                f"minidb_planner_{name}_total", f"planner access-path count: {name}"
-            )
-            for name in (
+        #: executor (atomic increments — plain-dict bumps could lose
+        #: updates across executor threads); ``planner_stats`` is the view
+        self._planner_counters = self.metrics.counters(
+            "minidb_planner_{}_total",
+            (
                 "seq_scans",
                 "index_scans",
                 "range_scans",
@@ -370,8 +376,9 @@ class Database:
                 "hash_joins",
                 "nested_loop_joins",
                 "batch_scans",
-            )
-        }
+            ),
+            "planner access-path count",
+        )
         self.planner_stats = CounterMapView(self._planner_counters)
         #: planner toggles (benchmark baselines / debugging):
         #: ``enable_hash_join=False`` forces the nested-loop fallback;
@@ -416,12 +423,11 @@ class Database:
             filesystem=getattr(self.engine, "fs", None),
         )
         #: live sessions (weak — sessions die with their owners) feeding
-        #: the ``system.sessions`` view
+        #: the ``system.sessions`` view and the live-session gauge
         self.live_sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
-        self.metrics.attach_source("engine", self._engine_metric_samples)
-        self.metrics.attach_source("locks", self._lock_metric_samples)
-        self.metrics.attach_source("retrieval", self._retrieval_metric_samples)
-        self.metrics.attach_source("sessions", self._session_metric_samples)
+        self._sessions_live = self.metrics.gauge(
+            "minidb_sessions_live", "connected minidb sessions"
+        )
         # recover persistent state (no-op for the in-memory engine); note
         # a recovered snapshot replaces the owner/privileges constructed
         # above — the directory's persisted identity wins
@@ -571,50 +577,6 @@ class Database:
     def bump_planner_stat(self, name: str) -> None:
         """Thread-safe increment of one access-path/join-strategy counter."""
         self._planner_counters[name].inc()
-
-    # -------------------------------------------------- metric collectors
-
-    def _engine_metric_samples(self) -> dict[str, Any]:
-        if not self.engine.durable:
-            return {}
-        samples = {
-            f"minidb_engine_{key}": value
-            for key, value in self.engine.stats.items()
-            if isinstance(value, (int, float))
-        }
-        samples["minidb_engine_panicked"] = 1 if self.engine.panicked else 0
-        return samples
-
-    def _lock_metric_samples(self) -> dict[str, Any]:
-        manager = self.lock_manager
-        if manager is None:
-            return {}
-        samples = {
-            f"minidb_lock_{key}": value
-            for key, value in manager.stats.items()
-            if isinstance(value, (int, float))
-        }
-        samples["minidb_lock_waiting"] = manager.waiting_count()
-        return samples
-
-    def _retrieval_metric_samples(self) -> dict[str, Any]:
-        cache = self.retrieval_cache
-        if cache is None:
-            return {}
-        samples = {
-            f"minidb_retrieval_cache_{key}": value
-            for key, value in getattr(cache, "stats", {}).items()
-            if isinstance(value, (int, float))
-        }
-        store = getattr(cache, "store", None)
-        if store is not None:
-            for key, value in getattr(store, "stats", {}).items():
-                if isinstance(value, (int, float)):
-                    samples[f"minidb_retrieval_store_{key}"] = value
-        return samples
-
-    def _session_metric_samples(self) -> dict[str, Any]:
-        return {"minidb_sessions_live": len(self.live_sessions)}
 
     def ensure_retrieval_cache(self, factory: Callable[[], Any]) -> Any:
         """Lazily attach the shared retrieval cache exactly once.

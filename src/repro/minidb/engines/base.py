@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from ...obs import MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
 
@@ -38,6 +40,9 @@ class StorageEngine:
 
     def __init__(self) -> None:
         self.db: "Database | None" = None
+        #: the registry this engine publishes its instruments to; the
+        #: database it serves adopts it as ``db.metrics``
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------ lifecycle
 

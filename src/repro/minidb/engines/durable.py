@@ -92,6 +92,7 @@ import weakref
 from typing import TYPE_CHECKING, Any
 
 from ...faults import OS_FILESYSTEM, Filesystem
+from ...obs import CounterMapView
 from ..catalog import IndexSchema
 from ..errors import PersistenceError, StorageFailedError, TransactionError
 from ..storage import HeapTable, reserve_heap_uids
@@ -177,21 +178,33 @@ class DurableEngine(StorageEngine):
         #: (the WAL stays strictly increasing in ``seq``), and a checkpoint
         #: can never swap the WAL file out from under an in-flight append
         self._commit_mutex = threading.RLock()
-        #: recovery / write-path observability
-        self.stats = {
-            "snapshot_loaded": False,
-            "wal_replayed": 0,
-            "wal_skipped": 0,
-            "wal_truncated_bytes": 0,
-            "commits": 0,
-            "records": 0,
-            "wal_appends": 0,
-            "wal_bytes": 0,
-            "wal_fsyncs": 0,
-            "checkpoints": 0,
-            "checkpoint_failures": 0,
-            "storage_failures": 0,
-        }
+        #: recovery / write-path counters (``minidb_engine_<key>``)
+        self._counters = self.metrics.counters(
+            "minidb_engine_{}",
+            (
+                "wal_replayed",
+                "wal_skipped",
+                "wal_truncated_bytes",
+                "commits",
+                "records",
+                "wal_appends",
+                "wal_bytes",
+                "wal_fsyncs",
+                "checkpoints",
+                "checkpoint_failures",
+                "storage_failures",
+            ),
+            "durable engine event count",
+        )
+        self.stats = CounterMapView(self._counters)
+        #: whether recovery found a snapshot to load (vs a fresh directory)
+        self.snapshot_loaded = False
+        self._snapshot_loaded_gauge = self.metrics.gauge(
+            "minidb_engine_snapshot_loaded", "1 if recovery loaded a snapshot"
+        )
+        self._panicked_gauge = self.metrics.gauge(
+            "minidb_engine_panicked", "1 once the engine latched fail-stop panic"
+        )
 
     # ------------------------------------------------------------ lifecycle
 
@@ -332,7 +345,8 @@ class DurableEngine(StorageEngine):
         replay stops at the tear)."""
         if self._panic is None:
             self._panic = exc
-            self.stats["storage_failures"] += 1
+            self._counters["storage_failures"].inc()
+            self._panicked_gauge.set(1)
 
     # ---------------------------------------------------- single-writer lock
 
@@ -510,12 +524,13 @@ class DurableEngine(StorageEngine):
                     "fail-stop: writes refuse, in-memory reads keep serving"
                 ) from exc
             self._records_since_snapshot += len(records)
-            self.stats["commits"] += 1
-            self.stats["records"] += len(records)
-            self.stats["wal_appends"] += 1
-            self.stats["wal_bytes"] += len(data)
+            counters = self._counters
+            counters["commits"].inc()
+            counters["records"].inc(len(records))
+            counters["wal_appends"].inc()
+            counters["wal_bytes"].inc(len(data))
             if self.fsync_commits:
-                self.stats["wal_fsyncs"] += 1
+                counters["wal_fsyncs"].inc()
             if (
                 self.auto_checkpoint_records
                 and self._records_since_snapshot >= self.auto_checkpoint_records
@@ -606,7 +621,7 @@ class DurableEngine(StorageEngine):
                 # so nothing is lost — compaction is merely deferred (an
                 # ENOSPC here clears when space returns). Remove the torn
                 # temp so it never accumulates or shadows a later attempt.
-                self.stats["checkpoint_failures"] += 1
+                self._counters["checkpoint_failures"].inc()
                 if self.fs.exists(tmp_path):
                     try:
                         self.fs.unlink(tmp_path)
@@ -632,7 +647,7 @@ class DurableEngine(StorageEngine):
                     "storage engine is now fail-stop"
                 ) from exc
             self._checkpoint_pending = False
-            self.stats["checkpoints"] += 1
+            self._counters["checkpoints"].inc()
 
     #: requires self._commit_mutex
     def _snapshot_payload(self, db: "Database") -> dict[str, Any]:
@@ -703,7 +718,8 @@ class DurableEngine(StorageEngine):
                 entry
             )
         self._seq = data["applied_seq"]
-        self.stats["snapshot_loaded"] = True
+        self.snapshot_loaded = True
+        self._snapshot_loaded_gauge.set(1)
 
     # staticcheck: ignore[guarded-by] — recovery runs single-threaded,
     # before the engine is shared with any session
@@ -725,6 +741,7 @@ class DurableEngine(StorageEngine):
         offset = 0
         last_seq: int | None = None
         pending: list[Record] = []
+        replayed = 0
         while offset < len(data):
             newline = data.find(b"\n", offset)
             if newline == -1:
@@ -748,19 +765,20 @@ class DurableEngine(StorageEngine):
                     if batched["seq"] > self._seq:
                         self._apply(db, batched)
                         self._seq = batched["seq"]
-                        self.stats["wal_replayed"] += 1
+                        replayed += 1
                     else:
                         # remnant from a checkpoint that crashed between
                         # snapshot rename and WAL truncation — already in
                         # the snapshot
-                        self.stats["wal_skipped"] += 1
+                        self._counters["wal_skipped"].inc()
                 pending = []
                 valid_end = offset
         if valid_end < len(data):
-            self.stats["wal_truncated_bytes"] += len(data) - valid_end
+            self._counters["wal_truncated_bytes"].inc(len(data) - valid_end)
             with self.fs.open(self.wal_path, "r+b") as fh:
                 fh.truncate(valid_end)
-        self._records_since_snapshot += self.stats["wal_replayed"]
+        self._counters["wal_replayed"].inc(replayed)
+        self._records_since_snapshot += replayed
 
     _SIDECAR_RE = re.compile(r"\.(\d+)-(\d+)\.catalog\.pkl$")
 

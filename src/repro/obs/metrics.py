@@ -17,17 +17,19 @@ code must go through ``registry.counter(...)`` / ``histogram(...)`` /
 instrument is exported; the ``metric-registration`` staticcheck rule
 enforces this.
 
-Registries also accept *collector sources*: callables returning a flat
-``{name: number}`` dict, polled at export time. That is how pre-existing
-stats dicts (engine WAL counters, lock-manager stats, retrieval cache
-stats, service metrics) are re-exported without rewriting their owners.
+Instruments are the only way into the export: components that keep
+counters (the durable engine, lock manager, session manager, retrieval
+cache and store, service metrics) create them in the registry of the
+database they serve and publish a read-only ``.stats`` mapping over them
+(:class:`CounterMapView`), so a value is counted once, where it changes,
+and ``system.metrics`` / ``render_text()`` read it with its declared kind.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Mapping
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 # Log-scale latency buckets: 1/2.5/5 steps per decade, 100 µs to 10 s.
 # The +Inf bucket is implicit (``Histogram`` tracks the observed max for it).
@@ -105,6 +107,12 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value -= amount
+
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if that is higher (a high-water mark)."""
+        with self._lock:
+            if value > self._value:
+                self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -202,9 +210,9 @@ class Histogram:
 class CounterMapView(Mapping):
     """Read-only ``Mapping[str, int]`` over a dict of registry counters.
 
-    Keeps legacy surfaces like ``db.planner_stats`` alive after their
-    backing storage moved into the registry: ``dict(view)``, ``view[key]``
-    and iteration all work, mutation does not.
+    The ``stats`` surface of every counting component (and
+    ``db.planner_stats``) over its registry counters: ``dict(view)``,
+    ``view[key]``, ``.get`` and iteration all work, mutation does not.
     """
 
     def __init__(self, counters: Dict[str, Counter]) -> None:
@@ -229,7 +237,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
-        self._sources: Dict[str, Callable[[], Dict[str, float]]] = {}
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -267,12 +274,15 @@ class MetricsRegistry:
             self._metrics[name] = metric
         return metric
 
-    def attach_source(
-        self, prefix: str, collect: Callable[[], Dict[str, float]]
-    ) -> None:
-        """Register a collector polled at export time; idempotent per prefix."""
-        with self._lock:
-            self._sources[prefix] = collect
+    def counters(
+        self, pattern: str, keys: Iterable[str], help: str = ""
+    ) -> Dict[str, Counter]:
+        """Get-or-create one counter per key, named ``pattern.format(key)``;
+        wrap the result in a :class:`CounterMapView` for a ``stats`` view."""
+        return {
+            key: self.counter(pattern.format(key), f"{help}: {key}")
+            for key in keys
+        }
 
     def _get_or_create(self, cls, name: str, help: str):
         with self._lock:
@@ -290,22 +300,6 @@ class MetricsRegistry:
     def get(self, name: str):
         with self._lock:
             return self._metrics.get(name)
-
-    def _collect_sources(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            sources = list(self._sources.items())
-        collected: List[Tuple[str, float]] = []
-        for _prefix, collect in sources:
-            try:
-                sampled = collect()
-            except (OSError, RuntimeError):
-                continue  # a collector over a closed engine must not kill export
-            for name, value in sorted(sampled.items()):
-                if isinstance(value, bool):
-                    collected.append((name, 1.0 if value else 0.0))
-                elif isinstance(value, (int, float)):
-                    collected.append((name, float(value)))
-        return collected
 
     def samples(self) -> List[Tuple[str, str, float]]:
         """Flat ``(name, kind, value)`` rows for ``system.metrics``.
@@ -325,8 +319,6 @@ class MetricsRegistry:
                 rows.append((f"{name}_p95", "histogram", snap["p95"]))
             else:
                 rows.append((name, metric.kind, metric.value))
-        for name, value in self._collect_sources():
-            rows.append((name, "gauge", value))
         return rows
 
     def render_text(self) -> str:
@@ -346,7 +338,4 @@ class MetricsRegistry:
                 lines.append(f"{name}_count {metric.count}")
             else:
                 lines.append(f"{name} {_format_value(metric.value)}")
-        for name, value in self._collect_sources():
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_format_value(value)}")
         return "\n".join(lines) + "\n"

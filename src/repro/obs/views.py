@@ -120,7 +120,7 @@ def _session_rows(db: Any) -> List[Dict[str, Any]]:
                 "session": session.label,
                 "user": session.user,
                 "in_transaction": session.tx.in_transaction,
-                "statements": len(session.statement_log),
+                "statements": session.statements,
             }
         )
     rows.sort(key=lambda row: (row["session"] is None, row["session"] or ""))

@@ -36,6 +36,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 from ..faults import OS_FILESYSTEM, Filesystem
+from ..obs import CounterMapView, MetricsRegistry
 from .catalog import ValueCatalog
 
 
@@ -61,14 +62,25 @@ class CatalogStore:
     #: filename suffix shared with the durable engine's recovery prune
     SUFFIX = ".catalog.pkl"
 
-    def __init__(self, directory: str, filesystem: Filesystem | None = None):
+    def __init__(
+        self,
+        directory: str,
+        filesystem: Filesystem | None = None,
+        registry: MetricsRegistry | None = None,
+    ):
         self.directory = directory
         #: the same I/O seam as the owning durable engine, so fault
         #: injection covers sidecar writes too (``fs-seam`` staticcheck
         #: rule); the default passthrough costs nothing
         self.fs = filesystem or OS_FILESYSTEM
-        #: observability: tests and the storage benchmark read these
-        self.stats = {"loads": 0, "misses": 0, "stores": 0}
+        #: observability (``minidb_retrieval_store_<key>``): tests and the
+        #: storage benchmark read these
+        self._counters = (registry or MetricsRegistry()).counters(
+            "minidb_retrieval_store_{}",
+            ("loads", "misses", "stores"),
+            "persisted catalog store count",
+        )
+        self.stats = CounterMapView(self._counters)
 
     @staticmethod
     def _digest(value: Hashable) -> str:
@@ -92,13 +104,12 @@ class CatalogStore:
             with self.fs.open(self._path(key, fingerprint), "rb") as fh:
                 catalog = pickle.load(fh)
         except Exception:  # staticcheck: ignore[broad-except] — pickle.load can raise nearly anything on a torn or stale file; by contract every such failure is a cache miss, and the caller rebuilds from live data
-            self.stats["misses"] += 1
+            self._counters["misses"].inc()
             return None
         if not isinstance(catalog, ValueCatalog):
-            self.stats["misses"] += 1
+            self._counters["misses"].inc()
             return None
-        catalog.stats = {"queries": 0, "candidates": 0, "scored": 0}
-        self.stats["loads"] += 1
+        self._counters["loads"].inc()
         return catalog
 
     def store(self, key: Hashable, fingerprint: Hashable, catalog: ValueCatalog) -> None:
@@ -125,7 +136,7 @@ class CatalogStore:
                 except OSError:
                     pass
             return
-        self.stats["stores"] += 1
+        self._counters["stores"].inc()
 
 
 class CatalogCache:
@@ -133,15 +144,20 @@ class CatalogCache:
 
     Thread-safe: the cache is shared by every session of a database, and
     concurrent ``get_value`` calls race lookups against invalidations. A
-    mutex guards the LRU ``OrderedDict`` and the counters — an unguarded
-    ``move_to_end``/``popitem`` race corrupts the dict. Catalog *builds*
-    (the expensive part) deliberately run outside the mutex, so two
-    sessions may build the same missing catalog concurrently; last writer
-    wins, which is safe because both catalogs are equivalent for the
-    fingerprint they were built under.
+    mutex guards the LRU ``OrderedDict`` — an unguarded ``move_to_end``/
+    ``popitem`` race corrupts the dict; the counters are atomic registry
+    instruments. Catalog *builds* (the expensive part) deliberately run
+    outside the mutex, so two sessions may build the same missing catalog
+    concurrently; last writer wins, which is safe because both catalogs
+    are equivalent for the fingerprint they were built under.
     """
 
-    def __init__(self, max_entries: int = 128, store: CatalogStore | None = None):
+    def __init__(
+        self,
+        max_entries: int = 128,
+        store: CatalogStore | None = None,
+        registry: MetricsRegistry | None = None,
+    ):
         self.max_entries = max_entries
         self.store = store
         self._mutex = threading.Lock()
@@ -149,9 +165,13 @@ class CatalogCache:
         self._entries: OrderedDict[Hashable, tuple[Hashable, ValueCatalog]] = (
             OrderedDict()
         )
-        #: lookup counters (observability / tests)
-        #: guarded by self._mutex
-        self.stats = {"hits": 0, "misses": 0, "rebuilds": 0, "persisted_hits": 0}
+        #: lookup counters (``minidb_retrieval_cache_<key>``)
+        self._counters = (registry or MetricsRegistry()).counters(
+            "minidb_retrieval_cache_{}",
+            ("hits", "misses", "rebuilds", "persisted_hits"),
+            "catalog cache lookup count",
+        )
+        self.stats = CounterMapView(self._counters)
 
     def __len__(self) -> int:
         with self._mutex:
@@ -168,23 +188,20 @@ class CatalogCache:
             cached = self._entries.get(key)
             if cached is not None and cached[0] == fingerprint:
                 self._entries.move_to_end(key)
-                self.stats["hits"] += 1
+                self._counters["hits"].inc()
                 return cached[1]
         if self.store is not None:
             catalog = self.store.load(key, fingerprint)
             if catalog is not None:
+                self._counters["persisted_hits"].inc()
                 with self._mutex:
-                    self.stats["persisted_hits"] += 1
                     self._insert(key, fingerprint, catalog)
                 return catalog
         catalog = ValueCatalog(build())
         if self.store is not None:
             self.store.store(key, fingerprint, catalog)
         with self._mutex:
-            if cached is None:
-                self.stats["misses"] += 1
-            else:
-                self.stats["rebuilds"] += 1
+            self._counters["misses" if cached is None else "rebuilds"].inc()
             self._insert(key, fingerprint, catalog)
         return catalog
 

@@ -126,13 +126,9 @@ class Dispatcher:
         self.queue_limit = queue_limit
         self.admission_timeout_s = admission_timeout_s
         self.handler = handler or _default_handler
-        self.metrics = metrics or ServiceMetrics()
-        self.metrics.attach_sessions(manager)
-        self.metrics.attach_locks(manager.lock_manager)
-        self.metrics.attach_engine(manager.db.engine)
-        # re-export the service surface through the database's unified
-        # registry (idempotent per prefix; last dispatcher wins)
-        manager.db.metrics.attach_source("service", self.metrics.metric_samples)
+        # the database's registry: every dispatcher serving it counts
+        # into the same service instruments
+        self.metrics = metrics or ServiceMetrics(manager.db.metrics)
 
         self._mutex = threading.Lock()
         self._space = threading.Condition(self._mutex)
@@ -305,11 +301,7 @@ class SerialDispatcher:
     ):
         self.manager = manager
         self.handler = handler or _default_handler
-        self.metrics = metrics or ServiceMetrics()
-        self.metrics.attach_sessions(manager)
-        self.metrics.attach_locks(manager.lock_manager)
-        self.metrics.attach_engine(manager.db.engine)
-        manager.db.metrics.attach_source("service", self.metrics.metric_samples)
+        self.metrics = metrics or ServiceMetrics(manager.db.metrics)
 
     def submit(self, token: str, call: ToolCall) -> PendingResult:
         session = self.manager.authenticate(token)

@@ -40,6 +40,7 @@ import threading
 from typing import Any, Hashable, Iterable
 
 from ..minidb.errors import DeadlockError, LockTimeoutError
+from ..obs import CounterMapView, MetricsRegistry
 
 #: lock modes; compatibility is S/S only
 SHARED = "S"
@@ -81,22 +82,26 @@ def _conflicts(a: str, b: str) -> bool:
 class LockManager:
     """Table-level S/X locks shared by every session of one database."""
 
-    def __init__(self, timeout_s: float = 10.0):
+    def __init__(
+        self, timeout_s: float = 10.0, registry: MetricsRegistry | None = None
+    ):
         self.timeout_s = timeout_s
         self._mutex = threading.Lock()
         self._tables: dict[str, _TableLock] = {}  #: guarded by self._mutex
         #: owner -> set of table keys it holds (for O(1) release_all)
         #: guarded by self._mutex
         self._held: dict[Hashable, set[str]] = {}
-        #: observability for ServiceMetrics and tests
-        #: guarded by self._mutex
-        self.stats = {
-            "acquisitions": 0,
-            "waits": 0,
-            "timeouts": 0,
-            "deadlocks": 0,
-            "upgrades": 0,
-        }
+        #: lock events (``minidb_lock_<key>``) and queued waiters
+        registry = registry or MetricsRegistry()
+        self._counters = registry.counters(
+            "minidb_lock_{}",
+            ("acquisitions", "waits", "timeouts", "deadlocks", "upgrades"),
+            "lock manager event count",
+        )
+        self.stats = CounterMapView(self._counters)
+        self._waiting = registry.gauge(
+            "minidb_lock_waiting", "lock requests queued behind a conflict"
+        )
 
     # ------------------------------------------------------------- acquire
 
@@ -127,21 +132,22 @@ class LockManager:
             if self._grantable(lock, owner, mode, upgrade):
                 self._grant(lock, key, owner, mode)
                 if upgrade:
-                    self.stats["upgrades"] += 1
+                    self._counters["upgrades"].inc()
                 return
             waiter = _Waiter(owner, mode)
             if upgrade:
                 # upgrades go first: they can never wait for the queue
                 # (the queue is waiting for *their* S hold)
                 lock.queue.insert(0, waiter)
-                self.stats["upgrades"] += 1
+                self._counters["upgrades"].inc()
             else:
                 lock.queue.append(waiter)
-            self.stats["waits"] += 1
+            self._waiting.inc()
+            self._counters["waits"].inc()
             self._abort_deadlock_victims(requester=owner)
             if waiter.victim:
                 self._abandon_wait(key, lock, waiter)
-                self.stats["deadlocks"] += 1
+                self._counters["deadlocks"].inc()
                 raise DeadlockError(
                     f"deadlock detected while waiting for {mode} lock on "
                     f"{table!r}; transaction aborted, retry it"
@@ -151,7 +157,7 @@ class LockManager:
             with self._mutex:
                 if not waiter.granted:  # lost the race with a late grant
                     self._abandon_wait(key, lock, waiter)
-                    self.stats["timeouts"] += 1
+                    self._counters["timeouts"].inc()
                     raise LockTimeoutError(
                         f"timed out after {deadline:.1f}s waiting for {mode} "
                         f"lock on {table!r}"
@@ -159,7 +165,7 @@ class LockManager:
         with self._mutex:
             if waiter.victim:
                 self._abandon_wait(key, lock, waiter)
-                self.stats["deadlocks"] += 1
+                self._counters["deadlocks"].inc()
                 raise DeadlockError(
                     f"deadlock detected while waiting for {mode} lock on "
                     f"{table!r}; transaction aborted, retry it"
@@ -191,12 +197,13 @@ class LockManager:
     ) -> None:
         lock.holders[owner] = mode
         self._held.setdefault(owner, set()).add(key)
-        self.stats["acquisitions"] += 1
+        self._counters["acquisitions"].inc()
 
     #: requires self._mutex
     def _discard_waiter(self, key: str, lock: _TableLock, waiter: _Waiter) -> None:
         if waiter in lock.queue:
             lock.queue.remove(waiter)
+            self._waiting.dec()
         # identity check: a woken victim may hold a stale _TableLock whose
         # key has since been re-created — popping blindly would orphan the
         # *live* lock's holders and waiters
@@ -236,10 +243,12 @@ class LockManager:
                 # chosen as deadlock victim but not yet unparked: granting
                 # would leak a lock its owner is about to abandon
                 lock.queue.pop(0)
+                self._waiting.dec()
                 continue
             if not self._compatible(lock, waiter.owner, waiter.mode):
                 break
             lock.queue.pop(0)
+            self._waiting.dec()
             self._grant(lock, key, waiter.owner, waiter.mode)
             waiter.granted = True
             waiter.event.set()

@@ -28,6 +28,7 @@ from ..core.config import BridgeScopeConfig
 from ..core.server import BridgeScope
 from ..mcp import ToolCall, ToolResult
 from ..minidb import Database
+from ..obs import CounterMapView
 from .locks import LockManager
 
 
@@ -133,10 +134,21 @@ class SessionManager:
         self._clock = clock
         self._mutex = threading.Lock()
         self._sessions: dict[str, ServiceSession] = {}  #: guarded by self._mutex
-        #: guarded by self._mutex
-        self.stats = {"created": 0, "expired": 0, "closed": 0, "rejected": 0}
+        #: session lifecycle events (``service_sessions_<key>``) and the
+        #: live-session gauge, in the database's registry
+        self._counters = db.metrics.counters(
+            "service_sessions_{}",
+            ("created", "expired", "closed", "rejected"),
+            "service session lifecycle count",
+        )
+        self.stats = CounterMapView(self._counters)
+        self._active = db.metrics.gauge(
+            "service_active_sessions", "open service sessions"
+        )
         if db.lock_manager is None:
-            db.lock_manager = LockManager(timeout_s=lock_timeout_s)
+            db.lock_manager = LockManager(
+                timeout_s=lock_timeout_s, registry=db.metrics
+            )
         self.lock_manager: LockManager = db.lock_manager
 
     # ------------------------------------------------------------ lifecycle
@@ -157,7 +169,7 @@ class SessionManager:
         self.expire_idle()
         with self._mutex:
             if len(self._sessions) >= self.max_sessions:
-                self.stats["rejected"] += 1
+                self._counters["rejected"].inc()
                 raise SessionError(
                     f"session limit reached ({self.max_sessions}); retry later"
                 )
@@ -177,12 +189,13 @@ class SessionManager:
             # check above, which exists only to fail fast before the
             # (comparatively expensive) bridge construction
             if len(self._sessions) >= self.max_sessions:
-                self.stats["rejected"] += 1
+                self._counters["rejected"].inc()
                 raise SessionError(
                     f"session limit reached ({self.max_sessions}); retry later"
                 )
             self._sessions[session.token] = session
-            self.stats["created"] += 1
+            self._active.inc()
+            self._counters["created"].inc()
         return session
 
     def authenticate(self, token: str) -> ServiceSession:
@@ -235,7 +248,8 @@ class SessionManager:
         with self._mutex:
             if self._sessions.pop(session.token, None) is None:
                 return True  # somebody else reaped it first
-            self.stats[reason] += 1
+            self._active.dec()
+            self._counters[reason].inc()
         return True
 
     # ----------------------------------------------------------- inspection

@@ -240,7 +240,7 @@ class TestEngineLifecycle:
         db.close()
         db2 = reopen(dbdir)
         assert db2.snapshot() == expected
-        assert db2.engine.stats["snapshot_loaded"] is True
+        assert db2.engine.snapshot_loaded is True
         assert db2.engine.stats["wal_replayed"] == 0
 
     def test_checkpoint_refused_inside_transaction(self, dbdir):

@@ -37,6 +37,12 @@ class TestGauge:
         g.dec(2)
         assert g.value == 13.0
 
+    def test_set_max_keeps_high_water_mark(self):
+        g = Gauge("x")
+        g.set_max(4)
+        g.set_max(2)
+        assert g.value == 4.0
+
 
 class TestHistogram:
     def test_count_and_sum(self):
@@ -110,6 +116,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="name"):
             MetricsRegistry().register(object())
 
+    def test_counters_family_named_by_pattern(self):
+        registry = MetricsRegistry()
+        family = registry.counters("minidb_x_{}_total", ("a", "b"), "x count")
+        family["a"].inc(2)
+        assert registry.get("minidb_x_a_total") is family["a"]
+        assert registry.get("minidb_x_b_total").help == "x count: b"
+        assert registry.counters("minidb_x_{}_total", ("a",))["a"] is family["a"]
+        assert dict(CounterMapView(family)) == {"a": 2, "b": 0}
+
     def test_samples_expand_histograms(self):
         registry = MetricsRegistry()
         registry.counter("c_total").inc(2)
@@ -121,30 +136,11 @@ class TestRegistry:
         assert names["lat_p50"] == ("histogram", 1.0)
         assert "lat_p95" in names
 
-    def test_attach_source_polled_at_export(self):
-        registry = MetricsRegistry()
-        stats = {"engine_writes": 1}
-        registry.attach_source("engine", lambda: stats)
-        assert ("engine_writes", "gauge", 1.0) in registry.samples()
-        stats["engine_writes"] = 5  # live: polled, not copied
-        assert ("engine_writes", "gauge", 5.0) in registry.samples()
-
-    def test_failing_source_skipped(self):
-        registry = MetricsRegistry()
-        registry.counter("ok_total").inc()
-
-        def boom():
-            raise RuntimeError("engine closed")
-
-        registry.attach_source("engine", boom)
-        names = [name for name, _, _ in registry.samples()]
-        assert "ok_total" in names  # export survives the dead collector
-
     def test_render_text_prometheus_format(self):
         registry = MetricsRegistry()
         registry.counter("hits_total", "number of hits").inc(3)
         registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-        registry.attach_source("src", lambda: {"src_live": True})
+        registry.gauge("live", "live things").set(2)
         text = registry.render_text()
         assert "# HELP hits_total number of hits" in text
         assert "# TYPE hits_total counter" in text
@@ -152,7 +148,8 @@ class TestRegistry:
         assert 'lat_bucket{le="1"} 1' in text
         assert 'lat_bucket{le="+Inf"} 1' in text
         assert "lat_count 1" in text
-        assert "src_live 1" in text
+        assert "# TYPE live gauge" in text
+        assert "live 2" in text
         assert text.endswith("\n")
 
 

@@ -91,7 +91,7 @@ class TestMetricsView:
         }
         assert "minidb_statement_seconds_count" in names
         assert "minidb_statement_seconds_p95" in names
-        assert "minidb_sessions_live" in names  # collector source
+        assert "minidb_sessions_live" in names  # live-session gauge
 
 
 class TestLocksView:
