@@ -77,14 +77,11 @@ from .expressions import (
 from .functions import AGGREGATE_NAMES, make_aggregate
 from .planner import (
     JoinPlan,
-    choose_access_path,
-    extract_equality_bindings,
+    TableScan,
     extract_pushdown_filter,
-    extract_range_bindings,
-    extract_union_bindings,
     plan_join,
     plan_select_joins,
-    plan_select_paths,
+    plan_table_scan,
 )
 from .engines.serial import dump_column, dump_index, dump_table_schema
 from .result import ResultSet
@@ -631,16 +628,11 @@ class Executor:
         where_handled = False
         order_handled = False
         ordered_source = None
-        if (
-            not grouped
-            and not stmt.distinct
-            and stmt.set_op is None
-            and stmt.order_by
-            and len(stmt.from_sources) == 1
-            and not stmt.joins
-            and isinstance(stmt.from_sources[0], ast.TableRef)
-        ):
-            ordered_source = self._try_ordered_scan(stmt, session, outer, evaluator)
+        order = self._ordered_scan_shape(stmt)
+        if order is not None:
+            ordered_source = self._try_ordered_scan(
+                stmt, session, outer, evaluator, order
+            )
 
         if ordered_source is None and self._batch_select_shape(stmt):
             # column-batch (vectorized) pipeline: single-table statements
@@ -700,17 +692,8 @@ class Executor:
             make_scope = layout.scope
 
             if stmt.where is not None and not where_handled:
-                where_fn = self._compile_filter(stmt.where, layout)
-                if where_fn is not None:
-                    joined = [jr for jr in joined if where_fn(jr.parts)]
-                else:
-                    joined = [
-                        jr
-                        for jr in joined
-                        if evaluator.evaluate_predicate(
-                            stmt.where, make_scope(jr)
-                        )
-                    ]
+                where_fn = self._compile_filter(stmt.where, layout, evaluator)
+                joined = [jr for jr in joined if where_fn(jr.parts)]
 
             # expand stars into concrete items
             items = self._expand_items(stmt.items, all_sources)
@@ -907,17 +890,15 @@ class Executor:
             if self._join_key_valid(key):
                 buckets.setdefault(key, []).append((index, row))
 
-        residual = plan.residual
-        pair_layout = (
-            _ScopeLayout(left_sources + [right], outer)
-            if residual is not None
-            else None
-        )
         # probe-side residuals run once per candidate pair: compile them
         # (falling back to the interpreter for subquery-bearing residuals)
         residual_fn = (
-            self._compile_filter(residual, pair_layout)
-            if residual is not None
+            self._compile_filter(
+                plan.residual,
+                _ScopeLayout(left_sources + [right], outer),
+                evaluator,
+            )
+            if plan.residual is not None
             else None
         )
         kind = plan.kind
@@ -936,18 +917,10 @@ class Executor:
             )
             matched = False
             for index, right_row in matches:
-                if residual is not None:
-                    if residual_fn is not None:
-                        keep = residual_fn(
-                            _PartsOverlay(parts, right_binding, right_row)
-                        )
-                    else:
-                        keep = evaluator.evaluate_predicate(
-                            residual,
-                            pair_layout.pair_scope(jr, right_binding, right_row),
-                        )
-                    if not keep:
-                        continue
+                if residual_fn is not None and not residual_fn(
+                    _PartsOverlay(parts, right_binding, right_row)
+                ):
+                    continue
                 result.append(jr.extended(right_binding, right_row))
                 matched = True
                 if track_rights:
@@ -1039,67 +1012,22 @@ class Executor:
             # must see the recreated columns
             schema = self._locked_table(session, source.name, "S")
             heap = self.db.heap(schema.name)
-            # access-path planning: probe a covering index for top-level
-            # equality conjuncts, or slice a sorted index for range
-            # conjuncts; the residual WHERE still applies afterwards, so
-            # both are purely scan reductions
-            bindings = extract_equality_bindings(
-                where, source.binding, statement_sources
+            scan_kind, rids = self._scan_rids(
+                schema.name, heap, where, source.binding, statement_sources,
+                order_insensitive,
             )
-            ranges = extract_range_bindings(
-                where, source.binding, statement_sources
-            )
-            unions = extract_union_bindings(
-                where, source.binding, statement_sources
-            )
-            path, index, key = choose_access_path(
-                schema.name,
-                heap,
-                bindings,
-                ranges,
-                allow_index=self.db.planner_options.get(
-                    "enable_index_scan", True
-                ),
-                unions=unions,
-                stats=self._stats_for(schema.name),
-            )
-            if path.kind == "index":
-                self.db.bump_planner_stat("index_scans")
-                rids: "list[int] | set[int]" = index.probe(key)
-            elif path.kind == "range":
-                self.db.bump_planner_stat("range_scans")
-                rng = path.range
-                rids = index.range_rids(
-                    path.prefix_values,
-                    rng.low,
-                    rng.high,
-                    rng.incl_low,
-                    rng.incl_high,
-                )
-            elif path.kind == "union":
-                self.db.bump_planner_stat("union_scans")
-                rids = self._union_rids(index, path.union)
+            # copy: live heap dicts are mutated in place by in-statement
+            # schema changes and must not alias an in-flight scan
+            if rids is None:
+                rows = [dict(row) for _, row in heap.rows()]
             else:
-                rids = None
-            if rids is not None:
-                # probed rids come back in rid order so the source feeds
-                # the pipeline exactly like a seq scan would — except when
-                # the statement's output provably ignores row order (pure
-                # COUNT aggregation), where the sort is skipped
-                if not order_insensitive:
-                    rids = sorted(rids)
                 rows = []
                 for rid in rids:
                     row = heap.get(rid)  # fetched once per rid
                     if row is not None:
                         rows.append(dict(row))
-            else:
-                self.db.bump_planner_stat("seq_scans")
-                # copy: live heap dicts are mutated in place by in-statement
-                # schema changes and must not alias an in-flight scan
-                rows = [dict(row) for _, row in heap.rows()]
             resolved = _Source(source.binding, schema.column_names(), rows)
-            scan_kind, examined = path.kind, len(rows)
+            examined = len(rows)
         if statement_sources is not None:
             self._prefilter_source(resolved, where, statement_sources)
         if trace is not None:
@@ -1112,10 +1040,63 @@ class Executor:
             )
         return resolved
 
-    def _stats_for(self, table: str):
-        """ANALYZE product for ``table`` (staleness is checked by the
-        planner against the live heap's uid)."""
-        return self.db.catalog.statistics.get(table.lower())
+    def _plan_scan(
+        self,
+        table: str,
+        heap: HeapTable,
+        where: ast.Expr | None,
+        binding: str,
+        statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    ) -> TableScan:
+        """:func:`plan_table_scan` under this database's settings: the
+        ``enable_index_scan`` toggle and the table's ANALYZE statistics
+        (staleness is checked by the planner against the live heap's uid).
+        Execution, the ordered-scan match and EXPLAIN all plan here."""
+        return plan_table_scan(
+            table,
+            heap,
+            where,
+            binding,
+            statement_sources,
+            allow_index=self.db.planner_options.get("enable_index_scan", True),
+            stats=self.db.catalog.statistics.get(table.lower()),
+        )
+
+    def _scan_rids(
+        self,
+        table: str,
+        heap: HeapTable,
+        where: ast.Expr | None,
+        binding: str,
+        statement_sources: list[tuple[str, list[str] | None]] | None = None,
+        order_insensitive: bool = False,
+    ) -> tuple[str, list[int] | None]:
+        """Open one base-table scan: plan it, count it in ``planner_stats``
+        and return ``(path kind, rids)``.
+
+        ``rids`` are the index probe / range slice / union candidates, or
+        ``None`` for a sequential scan. They come back in rid order, so
+        every consumer sees rows exactly as a seq scan would feed them,
+        except when the statement's output provably ignores row order
+        (pure COUNT aggregation) and the sort is skipped. Candidates are a
+        superset of the answer: callers re-apply the full WHERE.
+        """
+        scan = self._plan_scan(table, heap, where, binding, statement_sources)
+        path, index = scan.path, scan.index
+        # seq_scans | index_scans | range_scans | union_scans
+        self.db.bump_planner_stat(f"{path.kind}_scans")
+        if path.kind == "seq":
+            return path.kind, None
+        if path.kind == "index":
+            rids = index.probe(scan.key)
+        elif path.kind == "range":
+            rng = path.range
+            rids = index.range_rids(
+                path.prefix_values, rng.low, rng.high, rng.incl_low, rng.incl_high
+            )
+        else:
+            rids = self._union_rids(index, path.union)
+        return path.kind, list(rids) if order_insensitive else sorted(rids)
 
     @staticmethod
     def _union_rids(index, union) -> set[int]:
@@ -1138,85 +1119,58 @@ class Executor:
             )
         return rids
 
-    def _compile_filter(self, expr: ast.Expr | None, layout: _ScopeLayout):
-        """Compile a predicate for direct parts-based evaluation.
+    def _compile_filter(
+        self, expr: ast.Expr, layout: _ScopeLayout, evaluator: Evaluator
+    ):
+        """A predicate as ``fn(parts) -> bool`` over joined-row parts.
 
-        Returns ``fn(parts) -> bool`` or ``None`` (interpreter required,
-        or compiled predicates disabled via ``planner_options``)."""
-        if expr is None:
-            return None
-        if not self.db.planner_options.get("enable_compiled_predicates", True):
-            return None
-        return compile_predicate(expr, _layout_resolver(layout))
+        The compiled closure chain when possible; otherwise (subqueries,
+        possibly correlated names, or compiled predicates disabled via
+        ``planner_options``) a closure that runs ``evaluator`` over the
+        layout's scope for the same parts. Callers never branch on which."""
+        fn = None
+        if self.db.planner_options.get("enable_compiled_predicates", True):
+            fn = compile_predicate(expr, _layout_resolver(layout))
+        if fn is None:
+            fn = lambda parts: evaluator.evaluate_predicate(  # noqa: E731
+                expr, layout.scope_parts(parts)
+            )
+        return fn
 
-    def _explain_ordered_scan(self, stmt: ast.SelectStatement) -> str | None:
-        """EXPLAIN text for the ordered-scan fast path, when it applies."""
-        if not self._ordered_scan_shape(stmt):
+    def _ordered_scan_shape(
+        self, stmt: ast.SelectStatement
+    ) -> tuple[list[str], bool] | None:
+        """Structural gate for the ordered-scan fast path, the one both
+        :meth:`_run_select` and EXPLAIN consult: one base-table source, no
+        machinery (grouping, aggregates, DISTINCT, set ops) between scan
+        order and output order, and an ORDER BY of plain same-direction
+        columns of that source, none shadowed by an output alias (DESC
+        only for a single column). Returns ``(lowered order columns,
+        reverse)`` or ``None``; takes no locks."""
+        if not stmt.order_by or stmt.group_by or stmt.distinct:
+            return None
+        if stmt.set_op is not None or len(stmt.from_sources) != 1 or stmt.joins:
             return None
         src = stmt.from_sources[0]
-        if self.db.catalog.has_view(src.name) or not self.db.catalog.has_table(
-            src.name
-        ):
+        if not isinstance(src, ast.TableRef):
             return None
-        plan = self._order_columns_of(stmt)
-        if plan is None:
+        catalog = self.db.catalog
+        if catalog.has_view(src.name) or not catalog.has_table(src.name):
             return None
-        schema = self.db.catalog.table(src.name)
-        heap = self.db.heap(schema.name)
-        match = self._match_ordered_index(stmt, src.binding, schema, heap, plan)
-        if match is None:
-            return None
-        index, prefix_values, rng, reverse = match
-        conditions = [
-            f"{column} = {expr_to_sql(ast.Literal(value))}"
-            for column, value in zip(index.columns, prefix_values)
-        ]
-        if rng is not None:
-            conditions.append(rng.describe(index.columns[len(prefix_values)]))
-        order_text = ", ".join(plan[0]) + (" DESC" if reverse else "")
-        line = (
-            f"Ordered Index Scan using {index.name} on {schema.name} "
-            f"(ORDER BY {order_text})"
-        )
-        if conditions:
-            line += f" (cond: {' AND '.join(conditions)})"
-        if stmt.limit is not None:
-            line += f" (limit {stmt.limit})"
-        return line
-
-    @staticmethod
-    def _ordered_scan_shape(stmt: ast.SelectStatement) -> bool:
-        """Structural gate for the ordered-scan fast path: one base-table
-        source, a real ORDER BY, and no machinery (grouping, aggregates,
-        DISTINCT, set ops) between scan order and output order. Mirrors
-        the gate in :meth:`_run_select`; EXPLAIN uses it to report the
-        plan without executing."""
-        if stmt.group_by or stmt.distinct or stmt.set_op is not None:
-            return False
-        if not stmt.order_by or len(stmt.from_sources) != 1 or stmt.joins:
-            return False
-        if not isinstance(stmt.from_sources[0], ast.TableRef):
-            return False
         aggregates: list[ast.FunctionCall] = []
         for item in stmt.items:
             _collect_aggregates(item.expr, aggregates)
         _collect_aggregates(stmt.having, aggregates)
         for order in stmt.order_by:
             _collect_aggregates(order.expr, aggregates)
-        return not aggregates
-
-    def _order_columns_of(
-        self, stmt: ast.SelectStatement
-    ) -> tuple[list[str], bool] | None:
-        """ORDER BY as (lowered column list, reverse) when every item is a
-        plain same-direction column of the single source (not shadowed by
-        an output alias); DESC only for single columns."""
+        if aggregates:
+            return None
         directions = {order.descending for order in stmt.order_by}
         if len(directions) != 1:
             return None  # mixed ASC/DESC: no single index order matches
         reverse = directions.pop()
         aliases = {item.alias.lower() for item in stmt.items if item.alias}
-        binding_key = stmt.from_sources[0].binding.lower()
+        binding_key = src.binding.lower()
         order_columns: list[str] = []
         for order in stmt.order_by:
             expr = order.expr
@@ -1234,61 +1188,46 @@ class Executor:
     def _match_ordered_index(
         self,
         stmt: ast.SelectStatement,
-        binding: str,
         schema: TableSchema,
         heap: HeapTable,
-        plan: tuple[list[str], bool],
+        order: tuple[list[str], bool],
     ):
-        """A sorted index whose order satisfies the statement's ORDER BY:
-        columns are exactly the WHERE-equality-bound prefix followed by
-        the ORDER BY columns. Returns ``(index, prefix_values, range,
-        reverse)`` or ``None``."""
-        if not self.db.planner_options.get("enable_index_scan", True):
-            return None
-        order_columns, reverse = plan
-        sources = [(binding, schema.column_names())]
-        bindings = extract_equality_bindings(stmt.where, binding, sources)
-        ranges = extract_range_bindings(stmt.where, binding, sources)
-        by_column = {b.column: b.value for b in bindings}
-        chosen = None
+        """The sorted index whose order *is* the statement's ORDER BY:
+        its columns are exactly the WHERE-equality-bound prefix followed
+        by the ORDER BY columns. Returns ``(index, prefix_values, range,
+        reverse)`` or ``None``. Execution and EXPLAIN both match here, on
+        the table's one access-path plan."""
+        order_columns, reverse = order
+        # sorted indexes ending in the ORDER BY columns; only when one
+        # exists is the WHERE worth planning
+        candidates = []
         for index in heap.indexes.values():
-            if index.kind != "btree":
-                continue
-            columns = tuple(c.lower() for c in index.columns)
+            columns = [c.lower() for c in index.columns]
             prefix_len = len(columns) - len(order_columns)
-            if prefix_len < 0 or list(columns[prefix_len:]) != order_columns:
-                continue
-            if all(c in by_column for c in columns[:prefix_len]):
-                chosen = (index, prefix_len)
-                break
-        if chosen is None:
+            if index.kind == "btree" and prefix_len >= 0:
+                if columns[prefix_len:] == order_columns:
+                    candidates.append((index, columns, prefix_len))
+        if not candidates:
             return None
-        index, prefix_len = chosen
+        scan = self._plan_scan(
+            schema.name, heap, stmt.where, stmt.from_sources[0].binding
+        )
         # cost check: a fully equality-bound probe (or a disjunctive union
         # probe set) is strictly more selective than scanning in order,
-        # and a range on a column this index does not cover prunes rows
-        # the ordered scan would have to filter one by one — in these
+        # and a range on a column the ordered index does not cover prunes
+        # rows the ordered scan would have to filter one by one — in these
         # cases the generic path plus the bounded top-N sort wins
-        unions = extract_union_bindings(stmt.where, binding, sources)
-        path, _, _ = choose_access_path(
-            schema.name,
-            heap,
-            bindings,
-            ranges,
-            unions=unions,
-            stats=self._stats_for(schema.name),
-        )
-        if path.kind in ("index", "union"):
+        path = scan.path
+        if not scan.allow_index or path.kind in ("index", "union"):
             return None
-        if path.kind == "range":
-            covered = {c.lower() for c in index.columns}
-            if (path.range_column or "").lower() not in covered:
+        for index, columns, prefix_len in candidates:
+            if not all(c in scan.equalities for c in columns[:prefix_len]):
+                continue
+            if path.kind == "range" and path.range_column.lower() not in columns:
                 return None
-        prefix_values = tuple(
-            by_column[c.lower()] for c in index.columns[:prefix_len]
-        )
-        rng = ranges.get(index.columns[prefix_len].lower())
-        return index, prefix_values, rng, reverse
+            prefix_values = tuple(scan.equalities[c] for c in columns[:prefix_len])
+            return index, prefix_values, scan.ranges.get(columns[prefix_len]), reverse
+        return None
 
     def _try_ordered_scan(
         self,
@@ -1296,16 +1235,15 @@ class Executor:
         session: "Session",
         outer: Scope | None,
         evaluator: Evaluator,
+        order: tuple[list[str], bool],
     ) -> _Source | None:
         """Resolve a single-table SELECT through a sorted index in ORDER BY
         order, or return ``None``.
 
-        Applies when every ORDER BY item is a plain same-direction column
-        of the table (not shadowed by an output alias) and some sorted
-        index's columns are exactly the WHERE-equality-bound prefix
-        followed by the ORDER BY columns — then index order *is* the
-        statement's sort order, ties included: equal keys store rids
-        ascending, matching the stable sort over a rid-ordered scan.
+        ``order`` is the gate's verdict (:meth:`_ordered_scan_shape`); the
+        index comes from :meth:`_match_ordered_index` — then index order
+        *is* the statement's sort order, ties included: equal keys store
+        rids ascending, matching the stable sort over a rid-ordered scan.
         DESC is served for single-column suffixes only (see
         :meth:`SortedIndex.ordered_rids` for why reverse order is not a
         plain reversal). The returned source has the WHERE predicate
@@ -1319,14 +1257,9 @@ class Executor:
         """
         db = self.db
         src = stmt.from_sources[0]
-        if db.catalog.has_view(src.name) or not db.catalog.has_table(src.name):
-            return None
-        plan = self._order_columns_of(stmt)
-        if plan is None:
-            return None
         schema = self._locked_table(session, src.name, "S")
         heap = db.heap(schema.name)
-        match = self._match_ordered_index(stmt, src.binding, schema, heap, plan)
+        match = self._match_ordered_index(stmt, schema, heap, order)
         if match is None:
             return None
         index, prefix_values, rng, reverse = match
@@ -1340,9 +1273,13 @@ class Executor:
         trace = db.tracer.current()
         started = perf_counter() if trace is not None else 0.0
         source = _Source(src.binding, schema.column_names(), [])
-        layout = _ScopeLayout([source], outer)
-        where = stmt.where
-        where_fn = self._compile_filter(where, layout)
+        where_fn = (
+            self._compile_filter(
+                stmt.where, _ScopeLayout([source], outer), evaluator
+            )
+            if stmt.where is not None
+            else None
+        )
         needed = (
             stmt.limit + (stmt.offset or 0) if stmt.limit is not None else None
         )
@@ -1357,15 +1294,8 @@ class Executor:
             if row is None:
                 continue
             row = dict(row)
-            if where is not None:
-                if where_fn is not None:
-                    keep = where_fn({binding: row})
-                else:
-                    keep = evaluator.evaluate_predicate(
-                        where, layout.scope_parts({binding: row})
-                    )
-                if not keep:
-                    continue
+            if where_fn is not None and not where_fn({binding: row}):
+                continue
             rows.append(row)
         if trace is not None:
             trace.record_scan(
@@ -1376,11 +1306,12 @@ class Executor:
     # ------------------------------------------------- column-batch pipeline
 
     def _batch_select_shape(self, stmt: ast.SelectStatement) -> bool:
-        """Structural gate for the column-batch pipeline: enabled via
-        ``planner_options`` and exactly one plain base-table source with
-        no joins. Takes no locks, so EXPLAIN can report the plan without
-        executing; an unknown table falls through to the row path, which
-        raises the usual error."""
+        """Structural gate for the column-batch pipeline, the one both
+        :meth:`_run_select` and EXPLAIN consult (each only after the
+        ordered-scan match declined): enabled via ``planner_options`` and
+        exactly one plain base-table source with no joins. Takes no locks;
+        an unknown table falls through to the row path, which raises the
+        usual error."""
         if not self.db.planner_options.get("enable_batch_execution", True):
             return False
         if len(stmt.from_sources) != 1 or stmt.joins:
@@ -1426,8 +1357,8 @@ class Executor:
     ) -> tuple[list[str], list[tuple], list[tuple]]:
         """Single-table SELECT over the column-batch pipeline.
 
-        Scans the heap batch-at-a-time (through the same access-path
-        planning as :meth:`_resolve_source`), applies WHERE as a
+        Scans the heap batch-at-a-time (through :meth:`_scan_rids`, like
+        :meth:`_resolve_source`), applies WHERE as a
         vectorized mask, and projects/aggregates over the surviving
         column slices. Anything the batch compiler punts on is evaluated
         per row *inside* the batch through a :class:`_BatchRowView`, so
@@ -1470,55 +1401,23 @@ class Executor:
         batch_where = batch_compile(where) if where is not None else None
         row_where = None
         if where is not None and batch_where is None:
-            row_where = self._compile_filter(where, layout)
+            row_where = self._compile_filter(where, layout, evaluator)
 
-        # access-path planning: identical probe/range/union reductions to
-        # the row path (and the same planner counters), with batch_scans
-        # recording that the scan ran vectorized
-        bindings = extract_equality_bindings(where, src.binding, None)
-        ranges = extract_range_bindings(where, src.binding, None)
-        unions = extract_union_bindings(where, src.binding, None)
-        path, index, key = choose_access_path(
-            schema.name,
-            heap,
-            bindings,
-            ranges,
-            allow_index=db.planner_options.get("enable_index_scan", True),
-            unions=unions,
-            stats=self._stats_for(schema.name),
+        # the row path's access path and planner counters, plus
+        # batch_scans recording that the scan ran vectorized
+        scan_kind, rids = self._scan_rids(
+            schema.name, heap, where, src.binding, None, order_insensitive
         )
-        if path.kind == "index":
-            db.bump_planner_stat("index_scans")
-            rids: "list[int] | set[int] | None" = index.probe(key)
-        elif path.kind == "range":
-            db.bump_planner_stat("range_scans")
-            rng = path.range
-            rids = index.range_rids(
-                path.prefix_values,
-                rng.low,
-                rng.high,
-                rng.incl_low,
-                rng.incl_high,
-            )
-        elif path.kind == "union":
-            db.bump_planner_stat("union_scans")
-            rids = self._union_rids(index, path.union)
-        else:
-            db.bump_planner_stat("seq_scans")
-            rids = None
         db.bump_planner_stat("batch_scans")
 
         batch_size = db.planner_options.get("batch_size", DEFAULT_BATCH_SIZE)
         if not isinstance(batch_size, int) or batch_size <= 0:
             batch_size = DEFAULT_BATCH_SIZE
         if rids is not None:
-            rid_list = list(rids) if order_insensitive else sorted(rids)
 
             def rid_batches():
-                for start in range(0, len(rid_list), batch_size):
-                    yield heap.fetch_batch(
-                        rid_list[start : start + batch_size], needed
-                    )
+                for start in range(0, len(rids), batch_size):
+                    yield heap.fetch_batch(rids[start : start + batch_size], needed)
 
             batch_iter = rid_batches()
         else:
@@ -1564,13 +1463,7 @@ class Executor:
                     keep = []
                     for i in range(batch.length):
                         view.index = i
-                        if row_where is not None:
-                            ok = row_where(parts)
-                        else:
-                            ok = evaluator.evaluate_predicate(
-                                where, layout.scope_parts(parts)
-                            )
-                        if ok:
+                        if row_where(parts):
                             keep.append(i)
                     if len(keep) == batch.length:
                         for name in needed:
@@ -1584,7 +1477,7 @@ class Executor:
             if trace is not None:
                 trace.record_scan(
                     src.binding,
-                    path.kind,
+                    scan_kind,
                     examined,
                     examined,
                     perf_counter() - started,
@@ -1837,14 +1730,11 @@ class Executor:
         )
         if predicate is None:
             return
-        layout = _ScopeLayout([source], None)
         binding = source.binding
-        predicate_fn = self._compile_filter(predicate, layout)
-        if predicate_fn is None:
-            evaluator = Evaluator(None)  # pushdown conjuncts are subquery-free
-            predicate_fn = lambda parts: evaluator.evaluate_predicate(  # noqa: E731
-                predicate, layout.scope_parts(parts)
-            )
+        # pushdown conjuncts are subquery-free: no subquery runner needed
+        predicate_fn = self._compile_filter(
+            predicate, _ScopeLayout([source], None), Evaluator(None)
+        )
 
         def keep(row: Row) -> bool:
             # on evaluation errors (e.g. type-mismatched ordering), keep the
@@ -1863,60 +1753,33 @@ class Executor:
         self, stmt: ast.ExplainStatement, session: "Session"
     ) -> ResultSet:
         select = stmt.select
-        table_of_binding: dict[str, str] = {}
-        columns_of_binding: dict[str, list[str] | None] = {}
         sources = list(select.from_sources) + [join.source for join in select.joins]
-        for source in sources:
-            if isinstance(source, ast.TableRef):
-                if self.db.catalog.has_table(source.name):
-                    schema = self.db.catalog.table(source.name)
-                    table_of_binding[source.binding] = schema.name
-                    columns_of_binding[source.binding] = schema.column_names()
-                else:  # view / system view: column set unknown statically
-                    columns_of_binding[source.binding] = None
-            else:
-                columns_of_binding[source.alias] = None
-        paths = plan_select_paths(
-            select,
-            table_of_binding,
-            self.db.heap,
-            columns_of_binding,
-            allow_index=self.db.planner_options.get("enable_index_scan", True),
-            stats_of_table=self._stats_for,
-        )
+        all_sources = self._statement_sources(select)
+        # execution's statement_sources convention (see _run_select)
+        statement_sources = all_sources if len(sources) > 1 else None
         # plan lines paired with the source binding each describes, so the
         # ANALYZE branch can attach that binding's actual scan events
-        path_of_binding = dict(zip(table_of_binding.keys(), paths))
-        # the ordered-scan fast path preempts the batch pipeline at
-        # runtime, so its plan line must be known before paths are
-        # described with the (batched) annotation
-        ordered_line = self._explain_ordered_scan(select)
-        if ordered_line is None and self._batch_select_shape(select):
-            for path in paths:
-                path.batched = True
         lines: list[tuple[str, str | None]] = []
         described: set[str] = set()
         for source in sources:
             if not isinstance(source, ast.TableRef) or source.binding in described:
                 continue
             described.add(source.binding)
-            if source.binding in path_of_binding:
+            if self.db.catalog.has_table(source.name):
                 lines.append(
-                    (path_of_binding[source.binding].describe(), source.binding)
+                    (
+                        self._explain_scan(select, source, statement_sources),
+                        source.binding,
+                    )
                 )
             elif is_system_relation(source.name):
                 lines.append(
                     (f"System View Scan on {source.name.lower()}", source.binding)
                 )
-        if ordered_line is not None:
-            # the ordered scan replaces the source's generic access path
-            # (the ordered-scan gate admits exactly one plain table source)
-            ordered_entry = (ordered_line, select.from_sources[0].binding)
-            lines = [ordered_entry] if len(lines) == 1 else lines + [ordered_entry]
         allow_hash = self.db.planner_options.get("enable_hash_join", True)
         join_lines = [
             plan.describe()
-            for plan in plan_select_joins(select, columns_of_binding, allow_hash)
+            for plan in plan_select_joins(select, dict(all_sources), allow_hash)
         ]
         if not stmt.analyze:
             rows = [(text,) for text, _ in lines]
@@ -1925,6 +1788,54 @@ class Executor:
                 rows = [("Result (no base tables)",)]
             return ResultSet(columns=["QUERY PLAN"], rows=rows, status="EXPLAIN")
         return self._explain_analyze(select, session, lines, join_lines)
+
+    def _explain_scan(
+        self,
+        select: ast.SelectStatement,
+        source: ast.TableRef,
+        statement_sources: list[tuple[str, list[str] | None]] | None,
+    ) -> str:
+        """The plan line for one base-table source, decided by the gates
+        and planner calls execution runs: the ordered scan when it matches
+        (it preempts the batch pipeline), else the table's access path."""
+        schema = self.db.catalog.table(source.name)
+        heap = self.db.heap(schema.name)
+        order = self._ordered_scan_shape(select)
+        match = (
+            self._match_ordered_index(select, schema, heap, order)
+            if order is not None
+            else None
+        )
+        if match is not None:
+            index, prefix_values, rng, reverse = match
+            conditions = [
+                f"{column} = {expr_to_sql(ast.Literal(value))}"
+                for column, value in zip(index.columns, prefix_values)
+            ]
+            if rng is not None:
+                conditions.append(rng.describe(index.columns[len(prefix_values)]))
+            order_text = ", ".join(order[0]) + (" DESC" if reverse else "")
+            line = (
+                f"Ordered Index Scan using {index.name} on {schema.name} "
+                f"(ORDER BY {order_text})"
+            )
+            if conditions:
+                line += f" (cond: {' AND '.join(conditions)})"
+            if select.limit is not None:
+                line += f" (limit {select.limit})"
+            return line
+        path = self._plan_scan(
+            schema.name, heap, select.where, source.binding, statement_sources
+        ).path
+        if statement_sources is not None:
+            predicate = extract_pushdown_filter(
+                select.where, source.binding, schema.column_names(),
+                statement_sources,
+            )
+            if predicate is not None:
+                path.filter_sql = expr_to_sql(predicate)
+        path.batched = self._batch_select_shape(select)
+        return path.describe()
 
     def _explain_analyze(
         self,
@@ -2430,77 +2341,30 @@ class Executor:
         where: ast.Expr | None,
         evaluator: Evaluator,
     ) -> list[tuple[int, Row]]:
-        """Resolve UPDATE/DELETE target rows through access-path planning.
+        """Resolve UPDATE/DELETE target rows through :meth:`_scan_rids`.
 
-        The same :func:`choose_access_path` machinery that accelerates
-        SELECT sources narrows the candidate set here — a covering index
-        probe or sorted-index range slice instead of the unconditional
-        heap scan. Candidates always get the *full* WHERE re-applied
-        (compiled when possible), and targets come back in rid order, the
-        order the heap scan produced — so undo logs, WAL records, and
-        constraint-error attribution are byte-identical to the seq-scan
-        plan.
+        The access path (and ``planner_stats`` counter) a SELECT with the
+        same WHERE would take narrows the candidate set — an index probe,
+        range slice or union instead of the unconditional heap scan.
+        Candidates always get the *full* WHERE re-applied, and targets come
+        back in rid order, the order the heap scan produced — so undo logs,
+        WAL records, and constraint-error attribution are byte-identical to
+        the seq-scan plan.
         """
-        candidates: "list[tuple[int, Row]] | None" = None
-        if where is not None:
-            sources = [(binding, schema.column_names())]
-            bindings = extract_equality_bindings(where, binding, sources)
-            ranges = extract_range_bindings(where, binding, sources)
-            unions = extract_union_bindings(where, binding, sources)
-            path, index, key = choose_access_path(
-                schema.name,
-                heap,
-                bindings,
-                ranges,
-                allow_index=self.db.planner_options.get(
-                    "enable_index_scan", True
-                ),
-                unions=unions,
-                stats=self._stats_for(schema.name),
-            )
-            rids = None
-            if path.kind == "index":
-                self.db.bump_planner_stat("index_scans")
-                rids = sorted(index.probe(key))
-            elif path.kind == "range":
-                self.db.bump_planner_stat("range_scans")
-                rng = path.range
-                rids = sorted(
-                    index.range_rids(
-                        path.prefix_values,
-                        rng.low,
-                        rng.high,
-                        rng.incl_low,
-                        rng.incl_high,
-                    )
-                )
-            elif path.kind == "union":
-                self.db.bump_planner_stat("union_scans")
-                rids = sorted(self._union_rids(index, path.union))
-            if rids is not None:
-                candidates = []
-                for rid in rids:
-                    row = heap.get(rid)
-                    if row is not None:
-                        candidates.append((rid, row))
-        if candidates is None:
-            self.db.bump_planner_stat("seq_scans")
+        _, rids = self._scan_rids(schema.name, heap, where, binding)
+        if rids is None:
             candidates = list(heap.rows())
+        else:
+            candidates = []
+            for rid in rids:
+                row = heap.get(rid)
+                if row is not None:
+                    candidates.append((rid, row))
         if where is None:
             return candidates
         layout = _ScopeLayout([_Source(binding, schema.column_names(), [])], None)
-        where_fn = self._compile_filter(where, layout)
-        targets: list[tuple[int, Row]] = []
-        if where_fn is not None:
-            for rid, row in candidates:
-                if where_fn({binding: row}):
-                    targets.append((rid, row))
-        else:
-            for rid, row in candidates:
-                scope = self._row_scope(schema, binding, row)
-                if evaluator.evaluate_predicate(where, scope):
-                    targets.append((rid, row))
-        return targets
+        where_fn = self._compile_filter(where, layout, evaluator)
+        return [(rid, row) for rid, row in candidates if where_fn({binding: row})]
 
     @staticmethod
     def _row_scope(schema: TableSchema, binding: str, row: Row) -> Scope:

@@ -28,9 +28,11 @@ never change statement semantics:
   equality is null-rejecting and the WHERE clause filters the NULL-extended
   rows it would have rejected anyway.
 
-``EXPLAIN <select>`` surfaces the chosen access path per source and the
-chosen strategy per join (see :func:`plan_select_paths` and
-:func:`plan_select_joins`).
+:func:`plan_table_scan` is the single access-path entry point: SELECT
+sources (row and column-batch pipelines), the ordered-scan match,
+UPDATE/DELETE target resolution and ``EXPLAIN`` all read a base table
+through it, so ``EXPLAIN`` reports the plan that runs. ``EXPLAIN <select>``
+also surfaces the chosen strategy per join (:func:`plan_select_joins`).
 
 **Error-surfacing contract.** Planning never changes *results*: a query
 that evaluates without errors returns the same rows under every strategy.
@@ -282,11 +284,14 @@ def extract_equality_bindings(
     """Top-level AND-ed ``col = literal`` conjuncts attributable to ``binding``.
 
     Only unqualified columns or columns qualified with this binding are
-    considered; anything more complex is left to the residual filter. When
-    ``statement_sources`` is given (multi-source queries), unqualified
-    columns must be unambiguous across the whole SELECT — otherwise an
-    empty index probe could return ``[]`` where the WHERE evaluator must
-    raise the ambiguity error.
+    considered; anything more complex is left to the residual filter.
+    ``statement_sources`` follows the one convention of
+    :func:`plan_table_scan`: ``None`` for a single-source statement, where
+    an unqualified name can only mean this source's column, and every
+    ``(binding, columns)`` of a multi-source statement otherwise, where
+    an unqualified name binds only when it is unambiguous across the whole
+    statement — else an empty index probe could return ``[]`` where the
+    WHERE evaluator must raise the ambiguity error.
     """
     bindings: list[EqualityBinding] = []
     lowered = binding.lower()
@@ -351,12 +356,13 @@ def extract_range_bindings(
     Harvests ``col <op> literal`` (either operand order) for the four
     ordering comparisons, plus non-negated ``col BETWEEN lo AND hi``; NULL
     literals never bind (the comparison is three-valued false anyway).
-    Name-resolution rules match :func:`extract_equality_bindings`:
-    unqualified columns only bind when provably unambiguous across the
-    whole statement. The harvested bounds only ever *narrow* a scan — the
-    executor re-applies the full predicate to the candidate rows, so a
-    range probe that over-approximates (e.g. across type ranks) stays
-    correct.
+    Name resolution and the ``statement_sources`` convention match
+    :func:`extract_equality_bindings`: ``None`` for a single source,
+    otherwise unqualified columns only bind when provably unambiguous
+    across the whole statement. The harvested bounds only ever *narrow*
+    a scan — the executor re-applies the full predicate to the candidate
+    rows, so a range probe that over-approximates (e.g. across type
+    ranks) stays correct.
     """
     lowered = binding.lower()
     ranges: dict[str, RangeBinding] = {}
@@ -433,10 +439,12 @@ def extract_union_bindings(
       disjunct disqualifies the whole chain — a union scan must cover
       *every* way the disjunction can be true, or it would drop rows.
 
-    Name-resolution rules match :func:`extract_equality_bindings`. When
-    several conjuncts bind the same column, the one with the fewest
-    members wins (conjuncts intersect; either set alone is a superset of
-    the answer, and the full WHERE is re-applied regardless).
+    Name resolution and the ``statement_sources`` convention (``None``
+    for a single source, every source otherwise) match
+    :func:`extract_equality_bindings`. When several conjuncts bind the
+    same column, the one with the fewest members wins (conjuncts
+    intersect; either set alone is a superset of the answer, and the
+    full WHERE is re-applied regardless).
     """
     lowered = binding.lower()
     unions: dict[str, UnionBinding] = {}
@@ -769,7 +777,7 @@ def plan_join(
 
 
 # --------------------------------------------------------------------------
-# whole-SELECT planning (EXPLAIN)
+# access-path and whole-SELECT planning
 # --------------------------------------------------------------------------
 
 
@@ -951,51 +959,44 @@ def _binding_of(source: "ast.TableRef | ast.SubqueryRef") -> str:
     return source.binding if isinstance(source, ast.TableRef) else source.alias
 
 
-def plan_select_paths(
-    stmt: ast.SelectStatement,
-    table_of_binding: dict[str, str],
-    heap_of_table,
-    columns_of_binding: dict[str, list[str] | None] | None = None,
-    allow_index: bool = True,
-    stats_of_table=None,
-) -> list[AccessPath]:
-    """Access paths for every base-table source of a SELECT (for EXPLAIN).
+@dataclass
+class TableScan:
+    """How one base table is read, with the WHERE bindings it was chosen
+    from (the ordered-scan match reuses them instead of re-deriving)."""
 
-    ``stats_of_table`` (optional callable ``table -> TableStatistics |
-    None``) switches path choice to the cost model and stamps estimated
-    row counts onto the returned paths.
+    path: AccessPath
+    index: "HashIndex | SortedIndex | None"
+    key: tuple | None  # probe key of an equality path
+    equalities: dict[str, Any]  # lowered column -> bound value
+    ranges: dict[str, RangeBinding]
+    allow_index: bool
+
+
+def plan_table_scan(
+    table: str,
+    heap: HeapTable,
+    where: ast.Expr | None,
+    binding: str,
+    statement_sources: list[tuple[str, list[str] | None]] | None = None,
+    allow_index: bool = True,
+    stats: "TableStatistics | None" = None,
+) -> TableScan:
+    """Choose how ``binding`` (a base table) is read for ``where``.
+
+    The one producer of access paths: it harvests the equality, range and
+    union bindings and hands them to :func:`choose_access_path`.
+    ``statement_sources`` is ``None`` when ``binding`` is the statement's
+    only source and lists every ``(binding, columns)`` of a multi-source
+    statement, so unqualified names bind only when unambiguous.
     """
-    paths: list[AccessPath] = []
-    multi_source = (len(stmt.from_sources) + len(stmt.joins)) > 1
-    statement_sources = (
-        list(columns_of_binding.items())
-        if multi_source and columns_of_binding
-        else None
+    bindings = extract_equality_bindings(where, binding, statement_sources)
+    ranges = extract_range_bindings(where, binding, statement_sources)
+    unions = extract_union_bindings(where, binding, statement_sources)
+    path, index, key = choose_access_path(
+        table, heap, bindings, ranges, allow_index, unions, stats
     )
-    for binding, table in table_of_binding.items():
-        heap = heap_of_table(table)
-        bindings = extract_equality_bindings(stmt.where, binding, statement_sources)
-        ranges = extract_range_bindings(stmt.where, binding, statement_sources)
-        unions = extract_union_bindings(stmt.where, binding, statement_sources)
-        path, _, _ = choose_access_path(
-            table,
-            heap,
-            bindings,
-            ranges,
-            allow_index=allow_index,
-            unions=unions,
-            stats=stats_of_table(table) if stats_of_table is not None else None,
-        )
-        if multi_source and columns_of_binding:
-            columns = columns_of_binding.get(binding)
-            if columns:
-                predicate = extract_pushdown_filter(
-                    stmt.where, binding, columns, list(columns_of_binding.items())
-                )
-                if predicate is not None:
-                    path.filter_sql = expr_to_sql(predicate)
-        paths.append(path)
-    return paths
+    equalities = {b.column: b.value for b in bindings}
+    return TableScan(path, index, key, equalities, ranges, allow_index)
 
 
 def plan_select_joins(

@@ -6,7 +6,7 @@ from repro.minidb import Database, parse
 from repro.minidb.planner import (
     choose_access_path,
     extract_equality_bindings,
-    plan_select_paths,
+    plan_table_scan,
 )
 
 
@@ -131,6 +131,18 @@ class TestExplain:
         result = s.execute("EXPLAIN SELECT * FROM t WHERE val > 1")
         assert "Seq Scan on t" in result.rows[0][0]
 
+    def test_explain_repeated_binding_follows_execution(self, s):
+        # ``FROM t, t`` makes unqualified ``grp`` ambiguous: execution
+        # scans sequentially (and then raises), so EXPLAIN neither probes
+        # ix_grp nor pushes the conjunct down
+        sql = "SELECT * FROM t, t WHERE grp = 3"
+        lines = [row[0] for row in s.execute("EXPLAIN " + sql).rows]
+        assert lines == ["Seq Scan on t", "Cross Join on t"]
+        before = s.db.planner_stats["seq_scans"]
+        with pytest.raises(Exception, match="ambiguous"):
+            s.execute(sql)
+        assert s.db.planner_stats["seq_scans"] == before + 2
+
     def test_explain_join_lists_both_tables(self, s):
         s.execute("CREATE TABLE u (a INT)")
         result = s.execute("EXPLAIN SELECT * FROM t JOIN u ON t.id = u.a")
@@ -153,8 +165,8 @@ class TestExplain:
         result = s.execute("EXPLAIN SELECT 1")
         assert "no base tables" in result.rows[0][0]
 
-    def test_plan_select_paths_helper(self, s):
+    def test_plan_table_scan_helper(self, s):
         stmt = parse("SELECT * FROM t WHERE grp = 2")
-        paths = plan_select_paths(stmt, {"t": "t"}, s.db.heap)
-        assert paths[0].kind == "index"
-        assert "Index Scan" in paths[0].describe()
+        path = plan_table_scan("t", s.db.heap("t"), stmt.where, "t").path
+        assert path.kind == "index"
+        assert "Index Scan" in path.describe()
