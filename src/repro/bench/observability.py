@@ -4,11 +4,12 @@ Two questions:
 
 1. **Zero-cost-when-dark** — with every ``observability_options`` switch at
    its default, how much slower is the tier-1 statement hot path than a
-   build with no observability dispatch at all? The baseline replicates the
-   pre-PR ``Session.execute`` body (count and log the statement, parse,
-   execute) so the measured delta is exactly the dark-mode dispatch: one
-   options-dict read plus the thread-local tracer probes the inner hooks
-   perform. Gated at ≤ 5% (the PR-7 seam-overhead pattern).
+   build with no observability dispatch at all? The baseline replicates
+   ``Session.execute``'s dark body (count and log the statement, parse
+   unless handed a parsed statement, execute) so the measured delta is
+   exactly the dark-mode dispatch: one options-dict read plus the
+   thread-local tracer probes the inner hooks perform. Gated at ≤ 5% (the
+   PR-7 seam-overhead pattern).
 2. **Cost when lit** — the same workload with tracing enabled (ring buffer
    recording, span construction, scan events), reported but not gated.
 
@@ -39,12 +40,15 @@ def _build_db(rows: int, tracing: bool = False) -> tuple[Database, Any]:
     return db, session
 
 
-def _plain_execute(session: Any, sql: str) -> Any:
-    """The pre-observability ``Session.execute`` body: the no-dispatch
-    baseline the dark-mode gate compares against."""
+def _plain_execute(session: Any, sql: str, stmt: Any = None) -> Any:
+    """``Session.execute``'s dark-path body without the observability
+    dispatch: the no-dispatch baseline the dark-mode gate compares
+    against."""
     session.statements += 1
     session.statement_log.append(sql)
-    return session.execute_statement(parse(sql))
+    if stmt is None:
+        stmt = parse(sql)
+    return session.execute_statement(stmt)
 
 
 def measure_dark_overhead(

@@ -82,8 +82,8 @@ class ExecutionTools(ToolServer):
 
     def _make_runner(self, action: str):
         def run(sql: str) -> ToolResult:
-            self.verifier.verify(sql, expected_action=action)
-            outcome = self.binding.run_sql(sql)
+            footprint = self.verifier.verify(sql, expected_action=action)
+            outcome = self.binding.run_sql(sql, footprint)
             if outcome.columns:
                 text = _render_rows(
                     outcome.columns, outcome.rows, self.config.max_result_rows

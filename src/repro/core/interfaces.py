@@ -39,13 +39,20 @@ class SqlOutcome:
 
 @dataclass
 class AccessFootprint:
-    """Static analysis result for one SQL statement (binding-neutral)."""
+    """Static analysis result for one SQL statement (binding-neutral).
+
+    ``statement`` is opaque to everything but the binding that produced
+    the footprint: a binding may keep its parsed form of the statement
+    there, and :meth:`DatabaseBinding.run_sql` then executes it without
+    parsing the text again. It takes no part in comparisons.
+    """
 
     action: str
     accesses: list[tuple[str, str, set[str] | None]]
     # each entry: (action, object, columns-or-None-for-whole-object)
     is_transaction_control: bool = False
     is_ddl: bool = False
+    statement: Any = field(default=None, repr=False, compare=False)
 
 
 class DatabaseBinding(abc.ABC):
@@ -54,8 +61,16 @@ class DatabaseBinding(abc.ABC):
     # ----------------------------------------------------------- execution
 
     @abc.abstractmethod
-    def run_sql(self, sql: str) -> SqlOutcome:
-        """Execute one SQL statement in this binding's session."""
+    def run_sql(
+        self, sql: str, footprint: AccessFootprint | None = None
+    ) -> SqlOutcome:
+        """Execute one SQL statement in this binding's session.
+
+        ``footprint``, when given, is this binding's own
+        :meth:`analyze_sql` result for ``sql`` (the verifier's); a binding
+        may run the statement it carries instead of parsing ``sql`` again.
+        Privileges are still enforced by the database at execution.
+        """
 
     @abc.abstractmethod
     def analyze_sql(self, sql: str) -> AccessFootprint:

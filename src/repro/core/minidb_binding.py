@@ -33,8 +33,13 @@ class MinidbBinding(DatabaseBinding):
 
     # ----------------------------------------------------------- execution
 
-    def run_sql(self, sql: str) -> SqlOutcome:
-        result = self.session.execute(sql)
+    def run_sql(
+        self, sql: str, footprint: AccessFootprint | None = None
+    ) -> SqlOutcome:
+        # the footprint's statement is ``sql`` as analyze_sql parsed it:
+        # the session runs that AST instead of parsing the text again
+        stmt = footprint.statement if footprint is not None else None
+        result = self.session.execute(sql, stmt=stmt)
         return SqlOutcome(
             columns=result.columns,
             rows=result.rows,
@@ -52,6 +57,7 @@ class MinidbBinding(DatabaseBinding):
             ],
             is_transaction_control=analysis.is_transaction_control,
             is_ddl=analysis.is_ddl,
+            statement=stmt,
         )
 
     # ------------------------------------------------------------- catalog

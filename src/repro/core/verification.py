@@ -80,7 +80,13 @@ class SqlVerifier:
         self.audit = AuditLog()
 
     def verify(self, sql: str, expected_action: str | None = None) -> AccessFootprint:
-        """Verify ``sql``; returns its footprint or raises SecurityViolation."""
+        """Verify ``sql``; returns its footprint or raises SecurityViolation.
+
+        The statement is parsed once, here, through the binding's
+        ``analyze_sql``; callers that go on to run it pass the returned
+        footprint to ``binding.run_sql(sql, footprint)`` so it is not
+        parsed again. A rejected statement never reaches the database.
+        """
         footprint = self.binding.analyze_sql(sql)
         objects = sorted({obj for _, obj, _ in footprint.accesses})
         try:

@@ -108,23 +108,39 @@ class Session:
 
     # ------------------------------------------------------------ execution
 
-    def execute(self, sql: str, _skip_privileges: bool = False) -> ResultSet:
-        """Parse, authorize, and execute a single SQL statement."""
+    def execute(
+        self,
+        sql: str,
+        _skip_privileges: bool = False,
+        stmt: ast.Statement | None = None,
+    ) -> ResultSet:
+        """Parse, authorize, and execute a single SQL statement.
+
+        ``stmt``, when given, is ``sql`` already parsed (a caller that
+        verified the statement before running it hands its AST on) and
+        the parse is skipped. The statement is still counted, logged,
+        traced and slow-logged under ``sql``, and analysis and privilege
+        checks still run here against the live catalog.
+        """
         opts = self.db.observability_options
         if opts["tracing"] or opts["slow_statement_s"] is not None:
-            return self._execute_traced(sql, _skip_privileges)
+            return self._execute_traced(sql, _skip_privileges, stmt)
         self.statements += 1
         self.statement_log.append(sql)
-        stmt = parse(sql)
+        if stmt is None:
+            stmt = parse(sql)
         return self.execute_statement(stmt, _skip_privileges=_skip_privileges)
 
-    def _execute_traced(self, sql: str, _skip_privileges: bool) -> ResultSet:
+    def _execute_traced(
+        self, sql: str, _skip_privileges: bool, stmt: ast.Statement | None
+    ) -> ResultSet:
         """Tracing-enabled twin of :meth:`execute`.
 
         Builds a :class:`~repro.obs.tracing.StatementTrace` around the
         statement; the inner hooks (plan/lock-wait/execute/wal-flush/
         checkpoint spans, executor scan/join events) find the trace through
-        the tracer's thread-local slot.
+        the tracer's thread-local slot. A pre-parsed ``stmt`` has no
+        ``parse`` span: its parse ran before the statement started.
         """
         self.statements += 1
         self.statement_log.append(sql)
@@ -132,10 +148,10 @@ class Session:
         trace = db.tracer.start(sql, user=self.user, session=self.label)
         status = "ERROR"
         error: BaseException | None = None
-        stmt: ast.Statement | None = None
         try:
-            with trace.span("parse"):
-                stmt = parse(sql)
+            if stmt is None:
+                with trace.span("parse"):
+                    stmt = parse(sql)
             result = self.execute_statement(stmt, _skip_privileges=_skip_privileges)
             status = result.status or "OK"
             trace.rows_returned = (

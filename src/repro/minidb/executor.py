@@ -52,7 +52,7 @@ import heapq
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from ..obs.views import is_system_relation, system_view_rows
+from ..obs.views import SYSTEM_VIEW_COLUMNS, is_system_relation, system_view_rows
 from . import ast_nodes as ast
 from .batch import DEFAULT_BATCH_SIZE, BatchError, RowBatch
 from .catalog import Column, ForeignKey, IndexSchema, TableSchema, ViewSchema
@@ -1776,10 +1776,19 @@ class Executor:
                 lines.append(
                     (f"System View Scan on {source.name.lower()}", source.binding)
                 )
+        # joins plan with the columns each source resolves to at execution
+        # (a derived table's or view's output columns), under execution's
+        # statement_sources, exactly as _join_relation does
+        resolved_columns = {
+            binding: self._source_columns(source)
+            for (binding, _), source in zip(all_sources, sources)
+        }
         allow_hash = self.db.planner_options.get("enable_hash_join", True)
         join_lines = [
             plan.describe()
-            for plan in plan_select_joins(select, dict(all_sources), allow_hash)
+            for plan in plan_select_joins(
+                select, resolved_columns, allow_hash, statement_sources
+            )
         ]
         if not stmt.analyze:
             rows = [(text,) for text, _ in lines]
@@ -1788,6 +1797,38 @@ class Executor:
                 rows = [("Result (no base tables)",)]
             return ResultSet(columns=["QUERY PLAN"], rows=rows, status="EXPLAIN")
         return self._explain_analyze(select, session, lines, join_lines)
+
+    def _source_columns(
+        self, source: "ast.TableRef | ast.SubqueryRef"
+    ) -> list[str] | None:
+        """The columns :meth:`_resolve_source` gives ``source``, found
+        without running it; None when the source would not resolve."""
+        if isinstance(source, ast.SubqueryRef):
+            return self._select_columns(source.subquery)
+        if is_system_relation(source.name):
+            return list(SYSTEM_VIEW_COLUMNS[source.name.lower()])
+        catalog = self.db.catalog
+        if catalog.has_view(source.name):
+            return self._select_columns(catalog.view(source.name).select)
+        if catalog.has_table(source.name):
+            return catalog.table(source.name).column_names()
+        return None
+
+    def _select_columns(self, select: ast.SelectStatement) -> list[str] | None:
+        """A SELECT's output column names, as :meth:`_run_select` names
+        them, found without running it; None when they cannot be named."""
+        sources = []
+        for src in list(select.from_sources) + [join.source for join in select.joins]:
+            columns = self._source_columns(src)
+            if columns is None:
+                return None
+            binding = src.binding if isinstance(src, ast.TableRef) else src.alias
+            sources.append(_Source(binding, columns, []))
+        try:
+            items = self._expand_items(select.items, sources)
+        except (ExecutionError, UnknownTableError):
+            return None  # a bad star: the statement fails when it runs
+        return [self._item_name(item, index) for index, item in enumerate(items)]
 
     def _explain_scan(
         self,

@@ -81,6 +81,8 @@ class _Parser:
     # ---------------------------------------------------------------- utils
 
     def peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self.tokens[self.pos]
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
@@ -91,16 +93,15 @@ class _Parser:
         return token
 
     def at_eof(self) -> bool:
-        return self.peek().kind == EOF
+        return self.tokens[self.pos].kind == EOF
 
     def check_keyword(self, *words: str) -> bool:
-        token = self.peek()
-        return token.kind == IDENT and token.value.upper() in {
-            w.upper() for w in words
-        }
+        """Whether the next token is one of ``words`` (upper-case literals);
+        non-IDENT tokens have ``upper`` None and never match."""
+        return self.tokens[self.pos].upper in words
 
     def match_keyword(self, *words: str) -> bool:
-        if self.check_keyword(*words):
+        if self.tokens[self.pos].upper in words:
             self.advance()
             return True
         return False
@@ -152,53 +153,53 @@ class _Parser:
     # ----------------------------------------------------------- statements
 
     def parse_statement(self) -> ast.Statement:
-        if self.match_keyword("EXPLAIN"):
-            analyze = self.match_keyword("ANALYZE")
-            return ast.ExplainStatement(self.parse_select(), analyze=analyze)
-        if self.check_keyword("SELECT"):
-            return self.parse_select()
-        if self.check_keyword("INSERT"):
-            return self.parse_insert()
-        if self.check_keyword("UPDATE"):
-            return self.parse_update()
-        if self.check_keyword("DELETE"):
-            return self.parse_delete()
-        if self.check_keyword("CREATE"):
-            return self.parse_create()
-        if self.check_keyword("DROP"):
-            return self.parse_drop()
-        if self.check_keyword("ALTER"):
-            return self.parse_alter()
-        if self.match_keyword("ANALYZE"):
-            table = None
-            if self.peek().kind == IDENT:
-                table = self.expect_identifier("table name")
-            return ast.AnalyzeStatement(table)
-        if self.match_keyword("BEGIN") or self.check_keyword("START"):
-            if self.match_keyword("START"):
-                self.expect_keyword("TRANSACTION")
-            else:
-                self.match_keyword("TRANSACTION")
-            return ast.BeginStatement()
-        if self.match_keyword("COMMIT"):
+        parse_kind = _STATEMENT_PARSERS.get(self.tokens[self.pos].upper)
+        if parse_kind is None:
+            raise self.error("expected a SQL statement")
+        return parse_kind(self)
+
+    def parse_explain(self) -> ast.ExplainStatement:
+        self.expect_keyword("EXPLAIN")
+        analyze = self.match_keyword("ANALYZE")
+        return ast.ExplainStatement(self.parse_select(), analyze=analyze)
+
+    def parse_analyze(self) -> ast.AnalyzeStatement:
+        self.expect_keyword("ANALYZE")
+        table = None
+        if self.peek().kind == IDENT:
+            table = self.expect_identifier("table name")
+        return ast.AnalyzeStatement(table)
+
+    def parse_begin(self) -> ast.BeginStatement:
+        # BEGIN [TRANSACTION] | [BEGIN] START TRANSACTION
+        self.match_keyword("BEGIN")
+        if self.match_keyword("START"):
+            self.expect_keyword("TRANSACTION")
+        else:
             self.match_keyword("TRANSACTION")
-            return ast.CommitStatement()
-        if self.match_keyword("ROLLBACK"):
-            self.match_keyword("TRANSACTION")
-            if self.match_keyword("TO"):
-                self.match_keyword("SAVEPOINT")
-                return ast.RollbackStatement(savepoint=self.expect_identifier())
-            return ast.RollbackStatement()
-        if self.match_keyword("SAVEPOINT"):
-            return ast.SavepointStatement(self.expect_identifier())
-        if self.match_keyword("RELEASE"):
+        return ast.BeginStatement()
+
+    def parse_commit(self) -> ast.CommitStatement:
+        self.expect_keyword("COMMIT")
+        self.match_keyword("TRANSACTION")
+        return ast.CommitStatement()
+
+    def parse_rollback(self) -> ast.RollbackStatement:
+        self.expect_keyword("ROLLBACK")
+        self.match_keyword("TRANSACTION")
+        if self.match_keyword("TO"):
             self.match_keyword("SAVEPOINT")
-            return ast.ReleaseSavepointStatement(self.expect_identifier())
-        if self.check_keyword("GRANT"):
-            return self.parse_grant_revoke(grant=True)
-        if self.check_keyword("REVOKE"):
-            return self.parse_grant_revoke(grant=False)
-        raise self.error("expected a SQL statement")
+            return ast.RollbackStatement(savepoint=self.expect_identifier())
+        return ast.RollbackStatement()
+
+    def parse_savepoint(self) -> ast.SavepointStatement:
+        self.expect_keyword("SAVEPOINT")
+        return ast.SavepointStatement(self.expect_identifier())
+
+    def parse_release(self) -> ast.ReleaseSavepointStatement:
+        self.expect_keyword("RELEASE")
+        self.match_keyword("SAVEPOINT")
+        return ast.ReleaseSavepointStatement(self.expect_identifier())
 
     # -------------------------------------------------------------- SELECT
 
@@ -349,8 +350,7 @@ class _Parser:
     }
 
     def _is_clause_boundary(self) -> bool:
-        token = self.peek()
-        return token.kind == IDENT and token.value.upper() in self._CLAUSE_WORDS
+        return self.tokens[self.pos].upper in self._CLAUSE_WORDS
 
     def parse_table_source(self) -> ast.TableRef | ast.SubqueryRef:
         if self.match_punct("("):
@@ -379,9 +379,9 @@ class _Parser:
             self.advance()
             kind = "INNER"
         else:
-            token = self.peek()
-            if token.kind == IDENT and token.value.upper() in _JOIN_KINDS:
-                kind = token.value.upper()
+            upper = self.peek().upper
+            if upper in _JOIN_KINDS:
+                kind = upper
                 self.advance()
                 self.match_keyword("OUTER")
                 self.expect_keyword("JOIN")
@@ -652,8 +652,8 @@ class _Parser:
 
     # -------------------------------------------------------- GRANT/REVOKE
 
-    def parse_grant_revoke(self, grant: bool) -> ast.Statement:
-        self.expect_keyword("GRANT" if grant else "REVOKE")
+    def parse_grant_revoke(self) -> ast.Statement:
+        grant = self.advance().upper == "GRANT"  # else REVOKE
         actions: list[str] = []
         columns: list[str] | None = None
         while True:
@@ -813,7 +813,7 @@ class _Parser:
             self.expect_punct(")")
             return expr
         if token.kind == IDENT:
-            upper = token.value.upper()
+            upper = token.upper
             if upper == "NULL":
                 self.advance()
                 return ast.Literal(None)
@@ -867,7 +867,7 @@ class _Parser:
         return ast.CastExpr(operand, target)
 
     def parse_function_call(self) -> ast.FunctionCall:
-        name = self.advance().value.upper()
+        name = self.advance().upper
         self.expect_punct("(")
         distinct = bool(self.match_keyword("DISTINCT"))
         args: list[ast.Expr] = []
@@ -889,3 +889,26 @@ class _Parser:
             second = self.expect_identifier("column name")
             return ast.ColumnRef(second, table=first)
         return ast.ColumnRef(first)
+
+
+#: the statement parser for each leading keyword; every parser consumes
+#: that keyword itself
+_STATEMENT_PARSERS = {
+    "EXPLAIN": _Parser.parse_explain,
+    "SELECT": _Parser.parse_select,
+    "INSERT": _Parser.parse_insert,
+    "UPDATE": _Parser.parse_update,
+    "DELETE": _Parser.parse_delete,
+    "CREATE": _Parser.parse_create,
+    "DROP": _Parser.parse_drop,
+    "ALTER": _Parser.parse_alter,
+    "ANALYZE": _Parser.parse_analyze,
+    "BEGIN": _Parser.parse_begin,
+    "START": _Parser.parse_begin,
+    "COMMIT": _Parser.parse_commit,
+    "ROLLBACK": _Parser.parse_rollback,
+    "SAVEPOINT": _Parser.parse_savepoint,
+    "RELEASE": _Parser.parse_release,
+    "GRANT": _Parser.parse_grant_revoke,
+    "REVOKE": _Parser.parse_grant_revoke,
+}

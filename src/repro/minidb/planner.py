@@ -1003,10 +1003,17 @@ def plan_select_joins(
     stmt: ast.SelectStatement,
     columns_of_binding: dict[str, list[str] | None],
     allow_hash: bool = True,
+    statement_sources: list[tuple[str, list[str] | None]] | None = None,
 ) -> list[JoinPlan]:
-    """Join plans for a SELECT's implicit FROM folds and explicit joins."""
+    """Join plans for a SELECT's implicit FROM folds and explicit joins.
+
+    ``columns_of_binding`` gives each fold's left and right columns;
+    ``statement_sources`` (default: its items) is the statement-wide
+    source list unqualified column names are resolved against.
+    """
     plans: list[JoinPlan] = []
-    statement_sources = list(columns_of_binding.items())
+    if statement_sources is None:
+        statement_sources = list(columns_of_binding.items())
     lefts: list[tuple[str, list[str] | None]] = []
     for source in stmt.from_sources:
         binding = _binding_of(source)

@@ -90,7 +90,7 @@ class ToyBinding(DatabaseBinding):
     def __init__(self):
         self.tables = {"t": [{"a": 1}, {"a": 2}]}
 
-    def run_sql(self, sql):
+    def run_sql(self, sql, footprint=None):
         if "t" not in sql:
             raise ValueError("only knows table t")
         return SqlOutcome(columns=["a"], rows=[(1,), (2,)], rowcount=2, status="SELECT")

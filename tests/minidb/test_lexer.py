@@ -1,9 +1,15 @@
-"""Unit tests for the SQL lexer."""
+"""Unit tests for the SQL lexer, and a differential property against the
+character-at-a-time reference tokenizer (``reference_lexer.py``)."""
 
 import pytest
+import reference_lexer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sql_conformance import CASES
 
+from repro.minidb import parser
 from repro.minidb.errors import SQLSyntaxError
-from repro.minidb.lexer import EOF, IDENT, NUMBER, OP, PUNCT, STRING, tokenize
+from repro.minidb.lexer import EOF, IDENT, NUMBER, OP, PUNCT, STRING, Token, tokenize
 
 
 def kinds(sql):
@@ -121,3 +127,70 @@ class TestErrors:
         tokens = tokenize("ab cd")
         assert tokens[0].pos == 0
         assert tokens[1].pos == 3
+
+
+class TestIdentifierUpper:
+    def test_ident_tokens_carry_upper(self):
+        tokens = tokenize('select "Mixed Case" Straße')
+        assert [t.upper for t in tokens[:-1]] == ["SELECT", "MIXED CASE", "STRASSE"]
+
+    def test_other_kinds_have_no_upper(self):
+        tokens = tokenize("'select' 1 + ( ?")
+        assert all(t.upper is None for t in tokens)
+
+
+# ------------------------------------------------------------ differential
+
+#: SQL fragments that sit at the lexer's decision points: keywords,
+#: doubled-quote strings, quoted identifiers, number shapes the scanner
+#: must stop inside ("1.", "1e", "1.2.3"), comments, and operators
+FRAGMENTS = (
+    "SELECT", "select", "FrOm", "where", "_x1", "a", "e", "E", "x",
+    "'a''b'", "''", "'", "'x", '"Id"', '""', '"', "1", "42", "1.", ".5",
+    "1e5", "1e", "1e+", "1E-3", "2.5e", "1.2.3", "..", ".", "0x1",
+    "-- note\n", "--", "/* c */", "/*", "*/", "/*/", "\n", " ", "\t",
+    "<=", ">=", "<>", "!=", "||", "|", "!", "+", "-", "*", "/", "%", "<",
+    ">", "=", "(", ")", ",", ";", "?", "#", "$",
+    # non-ASCII: str.isdigit/isalpha/isspace differ from regex \d/\w/\s
+    # classes here (superscript and Arabic-Indic digits, a numeric
+    # non-digit, ideographs, letters whose upper() grows, odd spaces)
+    "²", "١٢", "½", "Ⅻ", "一", "ß", "é", "\u00a0", "\u2028", "\x1c",
+)
+
+sql_texts = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_size=12
+).map("".join)
+
+
+def _lexed(tokenizer, sql):
+    try:
+        return [(t.kind, t.value, t.pos) for t in tokenizer(sql)]
+    except SQLSyntaxError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1500, derandomize=True)
+@given(sql=sql_texts)
+def test_tokenize_matches_reference(sql):
+    assert _lexed(tokenize, sql) == _lexed(reference_lexer.tokenize, sql)
+
+
+def _reference_tokens(sql):
+    return [
+        Token(t.kind, t.value, t.pos, t.value.upper() if t.kind == IDENT else None)
+        for t in reference_lexer.tokenize(sql)
+    ]
+
+
+def _parsed(sql):
+    try:
+        return parser.parse(sql)
+    except SQLSyntaxError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sql", [sql for sql, _ in CASES])
+def test_conformance_corpus_parses_the_same(sql, monkeypatch):
+    expected = _parsed(sql)
+    monkeypatch.setattr(parser, "tokenize", _reference_tokens)
+    assert _parsed(sql) == expected

@@ -11,6 +11,9 @@ hash, btree and composite indexes:
   ``batch_scans``.
 * ``UPDATE`` and ``DELETE`` (run inside ``BEGIN ... ROLLBACK``) bump the
   same access-path counter as a ``SELECT`` with the same WHERE clause.
+* For joins whose sides are base tables, derived tables or views, every
+  EXPLAIN (and EXPLAIN ANALYZE) join line names the strategy of the join
+  event the statement records when it runs.
 """
 
 import re
@@ -54,6 +57,8 @@ def session(request):
     s.execute("CREATE INDEX ix_u_t ON u (t_id)")
     s.execute("CREATE INDEX ix_u_w ON u USING BTREE (w)")
     s.execute("CREATE INDEX ix_u_we ON u USING BTREE (w, e)")
+    s.execute("CREATE VIEW vt AS SELECT id AS k, a FROM t")
+    s.execute("CREATE VIEW vu AS SELECT t_id AS tk, w FROM u")
     for n in range(60):
         b = "NULL" if n % 11 == 0 else str((n * 7) % 20)
         s.execute(
@@ -236,6 +241,94 @@ class TestExplainMatchesExecution:
     def test_two_table_join(self, session, case):
         sql, binding_of_table = case
         _assert_explain_matches_execution(session, sql, binding_of_table)
+
+
+#: each join side as a base table, a derived table or a view, with the
+#: binding it is referenced by and its (key column, other column)
+_LEFT_SIDES = (
+    ("t", "t", ("id", "a")),
+    ("(SELECT id AS k, a FROM t) d", "d", ("k", "a")),
+    ("vt", "vt", ("k", "a")),
+)
+_RIGHT_SIDES = (
+    ("u", "u", ("t_id", "w")),
+    ("(SELECT t_id AS tk, w FROM u) e", "e", ("tk", "w")),
+    ("vu", "vu", ("tk", "w")),
+)
+_JOIN_STRATEGIES = (
+    ("Hash Join", "hash"),
+    ("Nested Loop Join", "nested-loop"),
+    ("Cross Join", "cross"),
+)
+
+
+@st.composite
+def derived_join_selects(draw):
+    left, lb, (lkey, lother) = draw(st.sampled_from(_LEFT_SIDES))
+    right, rb, (rkey, rother) = draw(st.sampled_from(_RIGHT_SIDES))
+
+    def ref(binding: str, column: str) -> str:
+        # every side column but ``id`` (on both base tables) is unique to
+        # its side, so the rest may be referenced unqualified
+        qualify = column == "id" or draw(st.booleans())
+        return f"{binding}.{column}" if qualify else column
+
+    form = draw(st.sampled_from(("inner", "left", "comma", "non_equi", "cross")))
+    equi = f"{ref(lb, lkey)} = {ref(rb, rkey)}"
+    atoms = []
+    if draw(st.booleans()):
+        atoms.append(f"{ref(lb, lother)} > {draw(st.integers(-1, 6))}")
+    if form == "inner":
+        from_clause = f"{left} JOIN {right} ON {equi}"
+    elif form == "left":
+        from_clause = f"{left} LEFT JOIN {right} ON {equi}"
+    elif form == "non_equi":
+        from_clause = f"{left} JOIN {right} ON {ref(lb, lother)} < {ref(rb, rother)}"
+    elif form == "cross":
+        from_clause = f"{left} CROSS JOIN {right}"
+    else:
+        from_clause = f"{left}, {right}"
+        atoms.insert(0, equi)
+    where = f" WHERE {' AND '.join(atoms)}" if atoms else ""
+    return f"SELECT * FROM {from_clause}{where}"
+
+
+def _explained_strategies(s, sql: str) -> list[str]:
+    strategies = []
+    for (line,) in s.execute(sql).rows:
+        for prefix, strategy in _JOIN_STRATEGIES:
+            if line.startswith(prefix):
+                strategies.append(strategy)
+    return strategies
+
+
+def _assert_join_strategies_match(s, sql: str) -> None:
+    tracer = s.db.tracer
+    probe = tracer.probe()
+    try:
+        s.execute(sql)
+    finally:
+        tracer.release(probe)
+    ran = [event["strategy"] for event in probe.joins]
+    assert _explained_strategies(s, "EXPLAIN " + sql) == ran, (sql, ran)
+    assert _explained_strategies(s, "EXPLAIN ANALYZE " + sql) == ran, (sql, ran)
+
+
+class TestExplainJoinsMatchExecution:
+    def test_derived_table_equi_join_is_hashed(self, session):
+        sql = "SELECT * FROM (SELECT id AS k FROM t) d JOIN u ON k = u.t_id"
+        _assert_join_strategies_match(session, sql)
+        assert _explained_strategies(session, "EXPLAIN " + sql) == ["hash"]
+
+    def test_view_equi_join_is_hashed(self, session):
+        sql = "SELECT * FROM vt JOIN u ON k = t_id"
+        _assert_join_strategies_match(session, sql)
+        assert _explained_strategies(session, "EXPLAIN " + sql) == ["hash"]
+
+    @settings(max_examples=100, derandomize=True)
+    @given(sql=derived_join_selects())
+    def test_derived_and_view_joins(self, session, sql):
+        _assert_join_strategies_match(session, sql)
 
 
 def _access_delta(s, sql: str) -> dict[str, int]:
